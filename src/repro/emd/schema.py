@@ -10,8 +10,9 @@ convention Velox/EMD uses), and re-parsed by
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from ..errors import FormatError
@@ -100,9 +101,7 @@ class AcquisitionMetadata:
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc["shape"] = list(self.shape)
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(_plain(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "AcquisitionMetadata":
@@ -152,6 +151,36 @@ class AcquisitionMetadata:
             )
         except KeyError as exc:
             raise FormatError(f"metadata missing required field: {exc}") from exc
+
+
+#: Types :func:`_plain` returns as they are, tested before anything else
+#: because they are nearly every value it sees.
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Field names of a dataclass (one entry per class, never evicted)."""
+    return tuple(f.name for f in fields(cls))
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as JSON-ready dicts and lists.
+
+    The field walk :func:`dataclasses.asdict` does, without its deep copy
+    of every leaf: :func:`json.dumps` only reads the values, and tuples
+    serialize as lists either way, so the JSON is byte-identical.
+    """
+    cls = type(value)
+    if cls in _LEAVES:
+        return value
+    if hasattr(cls, "__dataclass_fields__"):
+        return {name: _plain(getattr(value, name)) for name in _field_names(cls)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def iso_from_campaign_seconds(t: float, campaign_epoch: str = "2023-06-01T00:00:00") -> str:

@@ -65,7 +65,19 @@ def max_min_fair_rates(
     achieve only that fraction of their allocated share (protocol
     overhead), with the unused remainder left on the table — a deliberate
     simplification that keeps the allocation strictly fair.
+
+    A lone stream is answered directly: progressive filling would freeze
+    it in one round at its tightest link's full capacity (``x / 1 == x``),
+    times its efficiency — the same floats.  A route never repeats a
+    link, so no link is counted twice.
     """
+    if len(streams) == 1:
+        (s,) = streams
+        if not s.links:
+            return {s.stream_id: float("inf")}
+        return {
+            s.stream_id: min(capacities[link.key] for link in s.links) * s.efficiency
+        }
     rates: dict[int, float] = {}
     unfrozen = {s.stream_id: s for s in streams if s.links}
     for s in streams:
@@ -181,7 +193,7 @@ class NetworkFabric:
             .set("bytes", float(nbytes))
         )
         self._m_streams.inc()
-        latency = sum(l.latency_s for l in links)
+        latency = self.topology.path_latency(src, dst)
         self.env.process(self._admit_after(stream, latency))
         return done
 
@@ -332,12 +344,17 @@ class NetworkFabric:
         relative order the old full-fabric scan presented to
         :func:`max_min_fair_rates` (ids are assigned in admission
         order), so link tie-breaking inside the allocator is preserved
-        bit for bit.
+        bit for bit.  A lone seed that shares none of its links is its
+        own component and skips the search.
         """
-        comp: set[int] = set()
-        stack = [sid for sid in seeds if sid in self._streams]
         streams = self._streams
         users = self._users
+        stack = [sid for sid in seeds if sid in streams]
+        if len(stack) == 1:
+            stream = streams[stack[0]]
+            if all(len(users[link.key]) == 1 for link in stream.links):
+                return [stream]
+        comp: set[int] = set()
         while stack:
             sid = stack.pop()
             if sid in comp:

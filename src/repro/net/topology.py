@@ -4,12 +4,16 @@ The testbed mirrors Sec. 2.1: PicoProbe user machines behind a 1 Gbps
 switch, the ANL backbone at up to 200 Gbps, and the ALCF systems (Eagle
 storage, Polaris).  Built on a :mod:`networkx` graph so routing is
 shortest-path and easily inspectable.
+
+The graph is static once a campaign starts, yet the fabric asks for a
+route on every streamed chunk, so :class:`Topology` memoizes each
+resolved (src, dst) route with its latency sum and clears the memo
+whenever a node or link is added.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import networkx as nx
 
@@ -27,10 +31,14 @@ class Link:
     b: str
     capacity_bps: float  # bytes per second, shared across streams
     latency_s: float = 0.0
+    #: Endpoint pair in sorted order: the link's identity in capacity and
+    #: user maps.  Set once here because the fabric reads it per stream
+    #: per link on every reallocation.
+    key: tuple[str, str] = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+    def __post_init__(self) -> None:
+        a, b = self.a, self.b
+        object.__setattr__(self, "key", (a, b) if a <= b else (b, a))
 
 
 class Topology:
@@ -39,6 +47,10 @@ class Topology:
     def __init__(self) -> None:
         self._g = nx.Graph()
         self._links: dict[tuple[str, str], Link] = {}
+        #: (src, dst) -> (links, latency sum) of every route resolved
+        #: since the graph last changed.  Failed lookups are not stored,
+        #: so their errors raise on every call.
+        self._routes: dict[tuple[str, str], tuple[tuple[Link, ...], float]] = {}
 
     # -- construction ----------------------------------------------------
     def add_node(self, name: str, kind: str = "host") -> None:
@@ -46,6 +58,7 @@ class Topology:
         if name in self._g:
             raise EndpointError(f"node already exists: {name!r}")
         self._g.add_node(name, kind=kind)
+        self._routes.clear()
 
     def add_link(self, a: str, b: str, capacity_bps: float, latency_s: float = 0.0) -> Link:
         """Connect two existing nodes."""
@@ -61,6 +74,7 @@ class Topology:
             raise EndpointError(f"link already exists: {link.key}")
         self._links[link.key] = link
         self._g.add_edge(a, b, weight=latency_s if latency_s > 0 else 1e-9)
+        self._routes.clear()
         return link
 
     # -- queries -----------------------------------------------------------
@@ -83,24 +97,34 @@ class Topology:
     def links(self) -> list[Link]:
         return sorted(self._links.values(), key=lambda l: l.key)
 
-    def route(self, src: str, dst: str) -> list[Link]:
-        """Latency-weighted shortest path as a list of links."""
+    def _resolve(self, src: str, dst: str) -> tuple[tuple[Link, ...], float]:
+        """Memoized (links, latency sum) of the ``src`` -> ``dst`` route."""
+        hit = self._routes.get((src, dst))
+        if hit is not None:
+            return hit
         for n in (src, dst):
             if n not in self._g:
                 raise EndpointError(f"unknown node: {n!r}")
         if src == dst:
-            return []
-        try:
-            nodes = nx.shortest_path(self._g, src, dst, weight="weight")
-        except nx.NetworkXNoPath:
-            raise EndpointError(f"no route from {src!r} to {dst!r}") from None
-        return [self.link(a, b) for a, b in zip(nodes, nodes[1:])]
+            links: tuple[Link, ...] = ()
+        else:
+            try:
+                nodes = nx.shortest_path(self._g, src, dst, weight="weight")
+            except nx.NetworkXNoPath:
+                raise EndpointError(f"no route from {src!r} to {dst!r}") from None
+            links = tuple(self.link(a, b) for a, b in zip(nodes, nodes[1:]))
+        hit = self._routes[(src, dst)] = (links, sum(l.latency_s for l in links))
+        return hit
+
+    def route(self, src: str, dst: str) -> list[Link]:
+        """Latency-weighted shortest path as a (fresh) list of links."""
+        return list(self._resolve(src, dst)[0])
 
     def path_latency(self, src: str, dst: str) -> float:
         """Sum of one-way link latencies along the route."""
-        return sum(l.latency_s for l in self.route(src, dst))
+        return self._resolve(src, dst)[1]
 
     def bottleneck_capacity(self, src: str, dst: str) -> float:
         """Smallest link capacity along the route (inf for src == dst)."""
-        route = self.route(src, dst)
-        return min((l.capacity_bps for l in route), default=float("inf"))
+        links = self._resolve(src, dst)[0]
+        return min((l.capacity_bps for l in links), default=float("inf"))

@@ -136,6 +136,9 @@ class SearchIndex:
         self.validate = validate
         self._entries: dict[str, GmetaEntry] = {}
         self._postings: dict[str, dict[str, int]] = defaultdict(dict)  # term -> {subject: tf}
+        #: subject -> the space-separated terms it was posted under, so
+        #: replacing or deleting a record touches only its own postings.
+        self._terms: dict[str, str] = {}
 
     # -- ingest ------------------------------------------------------------
     def ingest(
@@ -162,11 +165,14 @@ class SearchIndex:
             ingested_at=float(now),
         )
         self._entries[subject] = entry
-        counts = Counter()
-        for text in _walk_strings(content):
-            counts.update(tokenize(text))
+        # One tokenizer pass over all strings; the separator is not a
+        # token character, so no token spans two strings.
+        counts = Counter(tokenize(" ".join(_walk_strings(content))))
         for term, tf in counts.items():
             self._postings[term][subject] = tf
+        # One string, not a tuple of the record's own term strings: most
+        # terms are already posting keys, and their copies would stay alive.
+        self._terms[subject] = " ".join(counts)
         return entry
 
     def delete(self, subject: str) -> None:
@@ -176,9 +182,10 @@ class SearchIndex:
         del self._entries[subject]
 
     def _remove_postings(self, subject: str) -> None:
-        for term in list(self._postings):
-            self._postings[term].pop(subject, None)
-            if not self._postings[term]:
+        for term in self._terms.pop(subject).split():
+            postings = self._postings[term]
+            del postings[subject]
+            if not postings:
                 del self._postings[term]
 
     # -- queries -----------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,45 @@ def test_metadata_json_roundtrip_standalone():
     md = make_metadata()
     again = AcquisitionMetadata.from_json(md.to_json())
     assert again == md
+
+
+def _asdict_json(md: AcquisitionMetadata) -> str:
+    """The serialization ``to_json`` replaced, kept as its reference."""
+    return json.dumps({**asdict(md), "shape": list(md.shape)}, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "signal_type, shape",
+    [("hyperspectral", (4, 5, 6)), ("spatiotemporal", (8, 160, 160))],
+)
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {
+            "run": {"plan": "degraded-net", "retries": [1, 2, (3, None)], "ok": True},
+            "tags": ("Au", "79", {"nested": [False, None, 0.25]}),
+            "note": None,
+            "zero": -0.0,
+        },
+    ],
+)
+def test_metadata_to_json_matches_asdict_bytes(signal_type, shape, extra):
+    md = replace(make_metadata(signal_type, shape), extra=extra)
+    assert md.to_json() == _asdict_json(md)
+    assert AcquisitionMetadata.from_json(md.to_json()) == replace(
+        md, extra=json.loads(json.dumps(extra))
+    )
+
+
+def test_metadata_to_json_matches_asdict_for_instrument_stamps():
+    from repro.instrument import PicoProbe
+
+    probe = PicoProbe()
+    for signal_type, shape in (("hyperspectral", (64, 64, 512)), ("spatiotemporal", (8, 16, 16))):
+        md = probe.stamp_metadata(signal_type, shape, "uint16", SampleInfo(name="s"), 30.0)
+        assert md.to_json() == _asdict_json(md)
+        assert AcquisitionMetadata.from_json(md.to_json()) == md
 
 
 def test_metadata_missing_field_raises():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EndpointError
-from repro.net import NetworkFabric, Topology, max_min_fair_rates
+from repro.net import Link, NetworkFabric, Topology, max_min_fair_rates
 from repro.net.fabric import Stream
 from repro.sim import Environment
 from repro.units import MB, Gbps, Mbps
@@ -58,6 +58,74 @@ def test_unknown_node_raises():
         t.route("user", "mars")
     with pytest.raises(EndpointError):
         t.node_kind("mars")
+
+
+def test_route_memo_sees_a_new_shorter_link():
+    t = star_topology()
+    assert len(t.route("user", "eagle")) == 3  # memoized now
+    t.add_link("user", "eagle", Gbps(10), latency_s=0.0001)
+    (direct,) = t.route("user", "eagle")
+    assert direct.key == ("eagle", "user")
+    assert t.path_latency("user", "eagle") == 0.0001
+    assert t.bottleneck_capacity("user", "eagle") == Gbps(10)
+
+
+def test_route_memo_sees_a_new_node():
+    t = star_topology()
+    with pytest.raises(EndpointError, match="unknown node"):
+        t.route("user", "polaris")
+    t.add_node("polaris")
+    with pytest.raises(EndpointError, match="no route"):
+        t.route("user", "polaris")
+    t.add_link("core", "polaris", Gbps(200), latency_s=0.001)
+    assert [l.key for l in t.route("user", "polaris")] == [
+        ("switch", "user"),
+        ("core", "switch"),
+        ("core", "polaris"),
+    ]
+
+
+def test_route_returns_a_fresh_list():
+    t = star_topology()
+    first = t.route("user", "eagle")
+    want = list(first)
+    first.clear()
+    assert t.route("user", "eagle") == want
+    assert t.route("user", "eagle") is not t.route("user", "eagle")
+    assert t.route("user", "user") == []
+
+
+def test_route_memo_matches_a_fresh_topology():
+    memo = star_topology()
+    pairs = [(a, b) for a in memo.nodes() for b in memo.nodes()]
+    for _ in range(2):  # second round is served from the memo
+        for a, b in pairs:
+            fresh = star_topology()
+            assert memo.route(a, b) == fresh.route(a, b)
+            assert memo.path_latency(a, b) == fresh.path_latency(a, b)
+            assert memo.bottleneck_capacity(a, b) == fresh.bottleneck_capacity(a, b)
+
+
+def test_route_errors_raise_on_every_call():
+    t = star_topology()
+    t.add_node("island")
+    for _ in range(3):
+        with pytest.raises(EndpointError, match="unknown node"):
+            t.route("user", "mars")
+        with pytest.raises(EndpointError, match="unknown node"):
+            t.path_latency("mars", "user")
+        with pytest.raises(EndpointError, match="no route"):
+            t.route("user", "island")
+        with pytest.raises(EndpointError, match="no route"):
+            t.bottleneck_capacity("island", "eagle")
+
+
+def test_link_key_is_sorted_and_not_part_of_identity():
+    link = star_topology().link("switch", "user")
+    assert link.key == ("switch", "user")
+    assert Link("b", "a", 1.0).key == ("a", "b")
+    assert Link("b", "a", 1.0) == Link("b", "a", 1.0)
+    assert "key" not in repr(link)
 
 
 def test_duplicate_node_and_link_rejected():

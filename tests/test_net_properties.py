@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import NetworkFabric, Topology
-from repro.net.fabric import max_min_fair_rates
+from repro.net.fabric import Stream, max_min_fair_rates
 from repro.sim import Environment
 from repro.units import Gbps, MB
 
@@ -275,3 +275,138 @@ def test_micro_fix_table1_identical():
         )
         res = run_campaign(use_case, duration_s=3600.0, seed=1)
         assert asdict(res.table1()) == golden["table1"], use_case
+
+
+# -- one-stream allocation --------------------------------------------------------
+
+
+def progressive_filling_reference(streams, capacities):
+    """Frozen copy of the general progressive-filling loop of
+    :func:`max_min_fair_rates`, without its one-stream shortcut."""
+    rates = {}
+    unfrozen = {s.stream_id: s for s in streams if s.links}
+    for s in streams:
+        if not s.links:
+            rates[s.stream_id] = float("inf")
+    cap_left = dict(capacities)
+    while unfrozen:
+        users = {}
+        for sid, s in unfrozen.items():
+            for link in s.links:
+                users.setdefault(link.key, []).append(sid)
+        bottleneck_key = None
+        bottleneck_share = float("inf")
+        for key, sids in users.items():
+            share = cap_left[key] / len(sids)
+            if share < bottleneck_share:
+                bottleneck_share = share
+                bottleneck_key = key
+        assert bottleneck_key is not None
+        for sid in users[bottleneck_key]:
+            s = unfrozen.pop(sid)
+            rates[sid] = bottleneck_share * s.efficiency
+            for link in s.links:
+                cap_left[link.key] = max(0.0, cap_left[link.key] - bottleneck_share)
+    return rates
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    caps=st.lists(st.floats(min_value=1e3, max_value=1e11), min_size=0, max_size=6),
+    scales=st.lists(st.sampled_from([0.0, 0.0, 0.15, 0.5, 1.0]), min_size=6, max_size=6),
+    eff=st.sampled_from([1.0, 0.9, 0.62, 0.25, 1e-3]),
+    extra_links=st.integers(min_value=0, max_value=3),
+)
+def test_one_stream_rate_is_progressive_filling_bit_for_bit(caps, scales, eff, extra_links):
+    """A lone stream — multi-hop, same-host (no links), on links scaled
+    down or blacked out — gets exactly the floats the loop computes."""
+    topo = Topology()
+    names = [f"n{i}" for i in range(len(caps) + 1 + extra_links)]
+    for name in names:
+        topo.add_node(name)
+    for i, cap in enumerate(caps):
+        topo.add_link(names[i], names[i + 1], cap)
+    for j in range(extra_links):  # links the stream does not cross
+        topo.add_link(names[-1 - j], names[0], 1e12)
+    links = tuple(topo.route(names[0], names[len(caps)]) if caps else ())
+    stream = Stream(1, "src", "dst", links, 1.0, done=None, efficiency=eff)
+    capacities = {
+        link.key: link.capacity_bps * scales[i % len(scales)]
+        for i, link in enumerate(topo.links())
+    }
+    got = max_min_fair_rates([stream], capacities)
+    want = progressive_filling_reference([stream], capacities)
+    assert list(got) == list(want) == [1]
+    assert got[1].hex() == want[1].hex()
+
+
+def bfs_component(fabric: NetworkFabric, seeds) -> "list[Stream]":
+    """Frozen copy of the breadth-first component search, without the
+    lone-stream shortcut."""
+    comp: set[int] = set()
+    stack = [sid for sid in seeds if sid in fabric._streams]
+    while stack:
+        sid = stack.pop()
+        if sid in comp:
+            continue
+        comp.add(sid)
+        for link in fabric._streams[sid].links:
+            for other in fabric._users[link.key]:
+                if other not in comp:
+                    stack.append(other)
+    return [fabric._streams[sid] for sid in sorted(comp)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_component_shortcut_matches_bfs(scenario):
+    """For every active stream, alone or coupled through shared links,
+    and for the whole active set, the component equals the search's."""
+    env, topo, _ = build(scenario)
+    fabric = NetworkFabric(env, topo)
+    mismatches: "list[str]" = []
+
+    def submit(env, src, dst, size_mb, eff, start):
+        yield env.timeout(start)
+        yield fabric.transfer(f"h{src}", f"h{dst}", MB(size_mb), efficiency=eff)
+
+    def monitor(env):
+        for t in scenario["checkpoints"]:
+            if t > env.now:
+                yield env.timeout(t - env.now)
+            seeds = [[sid] for sid in fabric._streams] + [list(fabric._streams), []]
+            for seed in seeds:
+                got = fabric._component(seed)
+                want = bfs_component(fabric, seed)
+                if got != want:
+                    mismatches.append(f"t={env.now} seeds={seed}: {got} != {want}")
+
+    for t in scenario["transfers"]:
+        env.process(submit(env, *t))
+    env.process(monitor(env))
+    env.run()
+    assert not mismatches, "\n".join(mismatches[:5])
+
+
+def test_stream_sharing_a_link_falls_through_to_the_search():
+    env = Environment()
+    topo = Topology()
+    for name in ("a", "b", "c", "sw"):
+        topo.add_node(name)
+    for name in ("a", "b", "c"):
+        topo.add_link(name, "sw", Gbps(1))
+    fabric = NetworkFabric(env, topo)
+    fabric.transfer("a", "sw", MB(500))
+    fabric.transfer("b", "sw", MB(500))
+    fabric.transfer("a", "c", MB(500))  # shares a--sw with stream 1
+
+    def probe(env):
+        yield env.timeout(0.01)
+        assert [s.stream_id for s in fabric._component([2])] == [2]  # alone
+        assert [s.stream_id for s in fabric._component([1])] == [1, 3]
+        assert [s.stream_id for s in fabric._component([3])] == [1, 3]
+        (s1, s2, s3) = fabric.active_streams
+        assert s1.rate == s3.rate == Gbps(1) / 2 and s2.rate == Gbps(1)
+
+    env.process(probe(env))
+    env.run()

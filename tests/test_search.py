@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from repro.search import (
     make_record,
     validate_datacite,
 )
+from repro.search.index import _walk_strings, tokenize
 from repro.sim import Environment
 
 
@@ -128,6 +131,101 @@ def test_delete():
     assert len(idx.query(q="hyperspectral")) == 0
     with pytest.raises(SearchError):
         idx.delete("s1")
+
+
+def test_replace_and_delete_leave_no_stale_postings():
+    idx = SearchIndex("portal")
+    idx.ingest("s1", record("d1", "zephyr gold"))
+    idx.ingest("s2", record("d2", "gold film"))
+    idx.ingest("s1", record("d1", "quixote carbon"))
+    assert len(idx.query(q="zephyr")) == 0
+    assert idx.query(q="gold").subjects() == ["s2"]
+    assert "zephyr" not in idx._postings
+    idx.delete("s2")
+    assert len(idx.query(q="gold film")) == 0
+    assert idx.query(q="quixote").subjects() == ["s1"]
+    assert all(idx._postings.values())  # no empty posting list
+    assert not any("s2" in p for p in idx._postings.values())
+    idx.delete("s1")
+    assert dict(idx._postings) == {}
+    assert idx._terms == {}
+
+
+# -- ingest identity ------------------------------------------------------------------
+
+
+def per_string_postings(ops):
+    """Postings the index held before ingest tokenized one joined string:
+    each string tokenized on its own, a full vocabulary scan on removal."""
+    postings = defaultdict(dict)
+
+    def remove(subject):
+        for term in list(postings):
+            postings[term].pop(subject, None)
+            if not postings[term]:
+                del postings[term]
+
+    live = set()
+    for op, subject, content in ops:
+        if subject in live:
+            remove(subject)
+            live.discard(subject)
+        if op == "ingest":
+            counts = Counter()
+            for text in _walk_strings(content):
+                counts.update(tokenize(text))
+            for term, tf in counts.items():
+                postings[term][subject] = tf
+            live.add(subject)
+    return postings
+
+
+def _ordered(postings):
+    return [(term, list(subjects.items())) for term, subjects in postings.items()]
+
+
+def test_adjacent_strings_do_not_merge_tokens():
+    idx = SearchIndex("p", validate=False)
+    content = {"symbol": "Au", "number": "79", "list": ["Zn", "30 keV", ("x", "Y")]}
+    idx.ingest("s", content)
+    assert "au79" not in idx._postings and "zn30" not in idx._postings
+    assert _ordered(idx._postings) == _ordered(
+        per_string_postings([("ingest", "s", content)])
+    )
+
+
+_text = st.text(alphabet="Au79 bC-ΣİKé_x", max_size=12)
+_content = st.recursive(
+    _text | st.none() | st.booleans() | st.integers(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["ingest", "ingest", "delete"]),
+            st.sampled_from(["s1", "s2", "s3"]),
+            st.dictionaries(st.sampled_from(["title", "x", "y"]), _content, max_size=3),
+        ),
+        max_size=12,
+    )
+)
+def test_ingest_postings_match_per_string_tokenization(ops):
+    idx = SearchIndex("p", validate=False)
+    applied = []
+    for op, subject, content in ops:
+        if op == "delete":
+            if subject not in idx._entries:
+                continue
+            idx.delete(subject)
+        else:
+            idx.ingest(subject, content)
+        applied.append((op, subject, content))
+        assert _ordered(idx._postings) == _ordered(per_string_postings(applied))
 
 
 # -- filters + facets -------------------------------------------------------------
