@@ -1,30 +1,21 @@
-"""Integrity subsystem cost + corruption-audit characterization.
+"""Integrity cost on the hot chunk path.
 
-Three claims to defend:
-
-* **disabled integrity is free** — a clean campaign run without an
-  integrity ledger (the default) builds none of the machinery: no
-  ledger, no integrity spans, no digest arithmetic on the chunk path
-  (bit-identity with the pre-integrity trace is the tier-1 golden
-  gate; this bench checks the structural half);
-* **enabled verification is cheap** — the same 800-chunk stream
-  delivery with per-chunk digests costs < 10% extra wall-clock;
-* **the audit closes** — a full corruption campaign ends with every
-  injected fault repaired or quarantined, zero silent acceptances.
+The claim: **enabled verification is cheap** — the same 800-chunk
+stream delivery with per-chunk digests costs < 10% extra wall-clock
+over plain delivery.  ``python -m repro bench integrity`` records both
+throughputs; the ratio bound lives here only, because on a small shared
+machine the same-run ratio is too noisy for the ``--check`` gate.
+That disabled integrity builds no machinery and that corruption
+campaigns audit clean are tier-1 tests (``tests/test_integrity.py``).
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.bench import _stream_delivery_with_digests
-from repro.core import run_campaign
-from repro.integrity import format_audit, run_integrity_campaign
-from repro.obs import derive_integrity_events
+from repro.bench import _stream_delivery
 
 from conftest import report
-
-DURATION = 1800.0
 
 
 def _best_wall(fn, repeat: int = 5) -> float:
@@ -36,36 +27,9 @@ def _best_wall(fn, repeat: int = 5) -> float:
     return best
 
 
-def test_integrity_disabled_is_free(benchmark, output_dir):
-    result = benchmark(
-        lambda: run_campaign(
-            "hyperspectral",
-            duration_s=DURATION,
-            seed=1,
-            ingest="stream",
-            obs=True,
-        )
-    )
-    events = derive_integrity_events(result.testbed.obs.tracer.spans)
-    lines = [
-        f"ledger constructed: {result.ledger is not None}",
-        "integrity spans: "
-        + ", ".join(f"{k}={len(v)}" for k, v in sorted(events.items())),
-        f"sessions delivered: "
-        f"{sum(1 for s in result.app.sessions if s.status == 'PUBLISHED')}"
-        f"/{len(result.app.sessions)}",
-    ]
-    report("bench_integrity_disabled", lines, output_dir)
-    # No ledger, no spans, no failure events: the disabled path is the
-    # pre-integrity path (bit-identity itself is the tier-1 golden gate).
-    assert result.ledger is None
-    assert all(len(v) == 0 for v in events.values())
-    assert all(s.failed is None for s in result.app.sessions)
-
-
 def test_integrity_stream_overhead(benchmark, output_dir):
-    plain_fn = _stream_delivery_with_digests(50, 16, verified=False)
-    verified_fn = _stream_delivery_with_digests(50, 16, verified=True)
+    plain_fn = _stream_delivery(50, 16)
+    verified_fn = _stream_delivery(50, 16, verified=True)
     # Warm-up outside the timed region.
     plain_fn()
     verified_fn()
@@ -81,26 +45,6 @@ def test_integrity_stream_overhead(benchmark, output_dir):
         f"per-chunk digest overhead: {overhead:+.1f}%",
     ]
     report("bench_integrity_overhead", lines, output_dir)
-    # The ISSUE gate: verification on the hot chunk path stays under
-    # 10% of plain delivery cost.
+    # Verification on the hot chunk path stays under 10% of plain
+    # delivery cost.
     assert verified < plain * 1.10
-
-
-def test_corruption_campaign_audit(benchmark, output_dir):
-    result, audit = benchmark.pedantic(
-        lambda: run_integrity_campaign(
-            duration_s=DURATION, seed=5, ingest="stream"
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    sessions = result.app.sessions
-    lines = [
-        f"sessions: {len(sessions)}  "
-        f"published: {sum(1 for s in sessions if s.status == 'PUBLISHED')}  "
-        f"quarantined: {len(result.ledger.quarantined)}",
-        *format_audit(audit).splitlines(),
-    ]
-    report("bench_integrity_audit", lines, output_dir)
-    assert audit.ok  # zero silent acceptances, no publish violations
-    assert audit.counts["injections"] > 0  # the scenario actually fired

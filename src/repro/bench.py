@@ -1,17 +1,20 @@
 """Machine-readable substrate benchmarks: the perf trajectory as data.
 
-``python -m repro bench`` times the three hot layers the scale-up work
-optimizes — the DES kernel, the max–min fair network fabric, and the
-campaign/sweep runner — and emits one JSON file per suite
-(``BENCH_kernel.json``, ``BENCH_fabric.json``, ``BENCH_campaign.json``)
-with ops/s, wall-clock, and peak RSS.  The committed baselines at the
-repository root are the regression gate: ``python -m repro bench
---check`` re-measures and fails when any throughput metric regresses by
-more than 25% (or a wall-clock metric inflates by the same factor).
+``python -m repro bench`` times the simulator's substrates in seven
+suites (``SUITES``): the DES kernel, the max–min fair network fabric,
+the campaign/sweep runner, the static analyzer, the streaming fast
+path, the integrity layer and the vectorized data plane.  Each suite
+writes one ``BENCH_<suite>.json`` with ops/s, wall-clock and peak RSS.
+The committed baselines at the repository root are the regression gate:
+``python -m repro bench --check`` re-measures and fails when a metric's
+throughput (``ops_per_s``) falls more than ``CHECK_TOLERANCE`` below its
+baseline, when a baselined metric disappears, or when a recorded
+correctness flag (``audit_ok``, ``identical_to_serial``) is ``False``.
+Wall-clock and peak RSS are recorded but do not gate.
 
-These are *substrate* benchmarks: they measure the simulator, not the
-paper's testbed.  The pytest-benchmark files under ``benchmarks/``
-remain the interactive view; this module is the trend line across PRs.
+Every substrate measurement is defined here and nowhere else.  These
+measure the simulator, not the paper's testbed; the pytest-benchmark
+files under ``benchmarks/`` regenerate the paper's tables and figures.
 """
 
 # repro: noqa-file[D101]  benchmarks measure the wall clock on purpose
@@ -62,6 +65,30 @@ def _best_of(fn: Callable[[], Any], repeat: int = 3) -> tuple[float, Any]:
 
 def _peak_rss_kb() -> int:
     return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _entry(
+    n_ops: int, wall: float, loop_wall: Optional[float] = None, **extra: Any
+) -> dict[str, Any]:
+    """One metric record; ``loop_wall`` adds the same-run ratio against
+    a frozen loop reference timed alongside."""
+    m: dict[str, Any] = {"n_ops": n_ops, "wall_s": wall, "ops_per_s": n_ops / wall}
+    if loop_wall is not None:
+        m["loop_wall_s"] = loop_wall
+        m["speedup_vs_loop"] = loop_wall / wall
+    m.update(extra)
+    return m
+
+
+def _time_cases(
+    cases: "tuple[tuple[str, Callable[[], int]], ...]", repeat: int
+) -> dict[str, Any]:
+    """Time named workloads that each return their operation count."""
+    metrics: dict[str, Any] = {}
+    for name, fn in cases:
+        wall, n_ops = _best_of(fn, repeat)
+        metrics[name] = _entry(n_ops, wall)
+    return metrics
 
 
 # -- kernel suite ----------------------------------------------------------
@@ -116,19 +143,14 @@ def _kernel_resource() -> int:
 
 
 def run_kernel_bench(repeat: int = 3) -> dict[str, Any]:
-    metrics: dict[str, Any] = {}
-    for name, fn in (
-        ("event_throughput", _kernel_ticker),
-        ("store_pipeline", _kernel_store),
-        ("resource_contention", _kernel_resource),
-    ):
-        wall, n_ops = _best_of(fn, repeat)
-        metrics[name] = {
-            "n_ops": n_ops,
-            "wall_s": wall,
-            "ops_per_s": n_ops / wall,
-        }
-    return metrics
+    return _time_cases(
+        (
+            ("event_throughput", _kernel_ticker),
+            ("store_pipeline", _kernel_store),
+            ("resource_contention", _kernel_resource),
+        ),
+        repeat,
+    )
 
 
 # -- fabric suite ----------------------------------------------------------
@@ -202,21 +224,14 @@ def _fabric_shared_hub(n_streams: int) -> Callable[[], int]:
     return run
 
 
-def run_fabric_bench(repeat: int = 3, scale: float = 1.0) -> dict[str, Any]:
-    """``scale`` shrinks the scenarios (used to time slow baselines)."""
-    metrics: dict[str, Any] = {}
-    cases = (
-        ("multisite_2000_streams", _fabric_multisite(40, max(1, int(50 * scale)))),
-        ("shared_hub_200_streams", _fabric_shared_hub(max(1, int(200 * scale)))),
+def run_fabric_bench(repeat: int = 3) -> dict[str, Any]:
+    return _time_cases(
+        (
+            ("multisite_2000_streams", _fabric_multisite(40, 50)),
+            ("shared_hub_200_streams", _fabric_shared_hub(200)),
+        ),
+        repeat,
     )
-    for name, fn in cases:
-        wall, n_streams = _best_of(fn, repeat)
-        metrics[name] = {
-            "n_ops": n_streams,
-            "wall_s": wall,
-            "ops_per_s": n_streams / wall,
-        }
-    return metrics
 
 
 # -- lint suite ------------------------------------------------------------
@@ -243,11 +258,7 @@ def run_lint_bench(repeat: int = 3) -> dict[str, Any]:
         return analyzer.stats.files_total
 
     wall, n_files = _best_of(cold, repeat)
-    metrics["cold_full_tree"] = {
-        "n_ops": n_files,
-        "wall_s": wall,
-        "ops_per_s": n_files / wall,
-    }
+    metrics["cold_full_tree"] = _entry(n_files, wall)
 
     # The taint phase in isolation: parse once, then time the local
     # analysis + global RET/SINKPARAM resolution over every module.
@@ -272,14 +283,11 @@ def run_lint_bench(repeat: int = 3) -> dict[str, Any]:
     def taint_cold() -> int:
         index = build_taint_index(trees)
         assert index.recomputed == len(trees)
+        assert len(index.functions) > 200
         return len(trees)
 
     wall_t, n_mods = _best_of(taint_cold, repeat)
-    metrics["taint_index_cold"] = {
-        "n_ops": n_mods,
-        "wall_s": wall_t,
-        "ops_per_s": n_mods / wall_t,
-    }
+    metrics["taint_index_cold"] = _entry(n_mods, wall_t)
 
     with tempfile.TemporaryDirectory() as td:
         cache_path = os.path.join(td, "cache.json")
@@ -298,13 +306,9 @@ def run_lint_bench(repeat: int = 3) -> dict[str, Any]:
             return analyzer.stats.files_total
 
         wall_w, n = _best_of(warm, repeat)
-        metrics["warm_cache_full_tree"] = {
-            "n_ops": n,
-            "wall_s": wall_w,
-            "ops_per_s": n / wall_w,
-            "cache_hit_rate": 1.0,
-            "taint_recomputed": 0,
-        }
+        metrics["warm_cache_full_tree"] = _entry(
+            n, wall_w, cache_hit_rate=1.0, taint_recomputed=0
+        )
 
         # Single-file incrementality on a throwaway copy of the tree:
         # each run touches one file, so exactly one miss per run.
@@ -334,88 +338,22 @@ def run_lint_bench(repeat: int = 3) -> dict[str, Any]:
             return analyzer.stats.files_total
 
         wall_1, n1 = _best_of(one_changed, repeat)
-        metrics["warm_one_file_changed"] = {
-            "n_ops": n1,
-            "wall_s": wall_1,
-            "ops_per_s": n1 / wall_1,
-            "files_reanalyzed": 1,
-            "taint_recomputed": 1,
-        }
+        metrics["warm_one_file_changed"] = _entry(
+            n1, wall_1, files_reanalyzed=1, taint_recomputed=1
+        )
     return metrics
 
 
 # -- stream suite ----------------------------------------------------------
 
-def _stream_delivery(n_sessions: int, chunks_per_session: int) -> Callable[[], int]:
-    """Publisher → receiver chunk delivery over a two-hop fabric path:
-    the streaming fast path's credit/ack/drain machinery under load."""
-    from .net import NetworkFabric, Topology
-    from .stream import StreamPublisher, StreamReceiver
-
-    def run() -> int:
-        env = Environment()
-        topo = Topology()
-        topo.add_node("inst")
-        topo.add_node("sw", kind="switch")
-        topo.add_node("node")
-        topo.add_link("inst", "sw", Gbps(1))
-        topo.add_link("sw", "node", Gbps(10))
-        fabric = NetworkFabric(env, topo)
-        receiver = StreamReceiver(env, host="node", ingest_bytes_per_s=400e6)
-        publisher = StreamPublisher(
-            env, fabric, receiver, src_host="inst",
-            chunk_bytes=MB(4), handshake_s=0.0,
-        )
-        sessions = []
-
-        def submit(env, i):
-            yield env.timeout(i * 0.2)
-            sessions.append(
-                publisher.start(f"/f{i}.emd", MB(4) * chunks_per_session)
-            )
-
-        for i in range(n_sessions):
-            env.process(submit(env, i))
-        env.run()
-        delivered = sum(1 for s in sessions if s.status == "DELIVERED")
-        assert delivered == n_sessions
-        return n_sessions * chunks_per_session
-
-    return run
-
-
-def run_stream_bench(repeat: int = 3) -> dict[str, Any]:
-    from .core import run_campaign
-
-    metrics: dict[str, Any] = {}
-    wall, n_chunks = _best_of(_stream_delivery(50, 16), repeat)
-    metrics["delivery_800_chunks"] = {
-        "n_ops": n_chunks,
-        "wall_s": wall,
-        "ops_per_s": n_chunks / wall,
-    }
-    wall, res = _best_of(
-        lambda: run_campaign(
-            "hyperspectral", duration_s=1800.0, seed=1, ingest="stream"
-        ),
-        repeat,
-    )
-    n_published = len(res.app.published_sessions)
-    metrics["campaign_stream_half_hour"] = {
-        "n_ops": n_published,
-        "wall_s": wall,
-        "ops_per_s": n_published / wall,
-    }
-    return metrics
-
-
-# -- integrity suite -------------------------------------------------------
-
-def _stream_delivery_with_digests(
-    n_sessions: int, chunks_per_session: int, verified: bool
+def _stream_delivery(
+    n_sessions: int, chunks_per_session: int, verified: bool = False
 ) -> Callable[[], int]:
-    """The stream-delivery workload with per-chunk verification on or
-    off — the pair behind the integrity-overhead metric."""
+    """Publisher → receiver chunk delivery over a two-hop fabric path:
+    the streaming fast path's credit/ack/drain machinery under load.
+
+    ``verified`` gives every session a digest, so each chunk is verified
+    on arrival; the off/on pair is the integrity-overhead metric."""
     from .net import NetworkFabric, Topology
     from .stream import StreamPublisher, StreamReceiver
 
@@ -457,6 +395,26 @@ def _stream_delivery_with_digests(
     return run
 
 
+def run_stream_bench(repeat: int = 3) -> dict[str, Any]:
+    from .core import run_campaign
+
+    metrics: dict[str, Any] = {}
+    wall, n_chunks = _best_of(_stream_delivery(50, 16), repeat)
+    metrics["delivery_800_chunks"] = _entry(n_chunks, wall)
+    wall, res = _best_of(
+        lambda: run_campaign(
+            "hyperspectral", duration_s=1800.0, seed=1, ingest="stream"
+        ),
+        repeat,
+    )
+    metrics["campaign_stream_half_hour"] = _entry(
+        len(res.app.published_sessions), wall
+    )
+    return metrics
+
+
+# -- integrity suite -------------------------------------------------------
+
 def run_integrity_bench(repeat: int = 3) -> dict[str, Any]:
     """Integrity is free when disabled and cheap when enabled: the same
     chunk-delivery workload with verification off vs on (the committed
@@ -465,23 +423,15 @@ def run_integrity_bench(repeat: int = 3) -> dict[str, Any]:
     from .integrity import run_integrity_campaign
 
     metrics: dict[str, Any] = {}
-    wall_plain, n_chunks = _best_of(
-        _stream_delivery_with_digests(50, 16, verified=False), repeat
-    )
-    metrics["delivery_800_chunks_plain"] = {
-        "n_ops": n_chunks,
-        "wall_s": wall_plain,
-        "ops_per_s": n_chunks / wall_plain,
-    }
+    wall_plain, n_chunks = _best_of(_stream_delivery(50, 16), repeat)
+    metrics["delivery_800_chunks_plain"] = _entry(n_chunks, wall_plain)
     wall_verified, n_chunks = _best_of(
-        _stream_delivery_with_digests(50, 16, verified=True), repeat
+        _stream_delivery(50, 16, verified=True), repeat
     )
-    metrics["delivery_800_chunks_verified"] = {
-        "n_ops": n_chunks,
-        "wall_s": wall_verified,
-        "ops_per_s": n_chunks / wall_verified,
-        "overhead_pct": 100.0 * (wall_verified - wall_plain) / wall_plain,
-    }
+    metrics["delivery_800_chunks_verified"] = _entry(
+        n_chunks, wall_verified,
+        overhead_pct=100.0 * (wall_verified - wall_plain) / wall_plain,
+    )
     wall, out = _best_of(
         lambda: run_integrity_campaign(
             duration_s=600.0, seed=3, ingest="stream"
@@ -489,14 +439,11 @@ def run_integrity_bench(repeat: int = 3) -> dict[str, Any]:
         repeat,
     )
     result, report = out
-    n_sessions = len(result.app.sessions)
-    metrics["corruption_campaign_10min"] = {
-        "n_ops": n_sessions,
-        "wall_s": wall,
-        "ops_per_s": n_sessions / wall,
-        "injections": report.counts["injections"],
-        "audit_ok": report.ok,
-    }
+    metrics["corruption_campaign_10min"] = _entry(
+        len(result.app.sessions), wall,
+        injections=report.counts["injections"],
+        audit_ok=report.ok,
+    )
     return metrics
 
 
@@ -530,24 +477,13 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
 
     metrics: dict[str, Any] = {}
 
-    def entry(name: str, n_ops: int, wall: float, loop_wall: "float | None" = None,
-              **extra: Any) -> None:
-        m: dict[str, Any] = {
-            "n_ops": n_ops, "wall_s": wall, "ops_per_s": n_ops / wall,
-        }
-        if loop_wall is not None:
-            m["loop_wall_s"] = loop_wall
-            m["speedup_vs_loop"] = loop_wall / wall
-        m.update(extra)
-        metrics[name] = m
-
     # Instrument: movie synthesis (batched RNG + frame-batched scatter).
     spec = MovieSpec(n_frames=30, shape=(256, 256), n_particles=12)
     wall, _ = _best_of(lambda: generate_movie(spec, np.random.default_rng(0)), repeat)
     loop_wall, _ = _best_of(
         lambda: iloops.generate_movie_loops(spec, np.random.default_rng(0)), 1
     )
-    entry("instrument_movie", spec.n_frames, wall, loop_wall)
+    metrics["instrument_movie"] = _entry(spec.n_frames, wall, loop_wall)
 
     # Instrument: soft-disk phantom masks (windowed vs full-frame).
     rng = np.random.default_rng(1)
@@ -559,7 +495,7 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
     ]
     wall, _ = _best_of(lambda: particle_mask((512, 512), particles), repeat)
     loop_wall, _ = _best_of(lambda: iloops.particle_mask_loops((512, 512), particles), 1)
-    entry("instrument_phantom_mask", len(particles), wall, loop_wall)
+    metrics["instrument_phantom_mask"] = _entry(len(particles), wall, loop_wall)
 
     # Analysis: blob detection over a frame stack.
     dspec = MovieSpec(n_frames=8, shape=(256, 256), n_particles=10)
@@ -568,8 +504,8 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
     det = BlobDetector(params)
     wall, dets = _best_of(lambda: det.detect_movie(dmovie), repeat)
     loop_wall, _ = _best_of(lambda: aloops.detect_movie_loops(dmovie, params), 1)
-    entry(
-        "analysis_detect_movie", dspec.n_frames, wall, loop_wall,
+    metrics["analysis_detect_movie"] = _entry(
+        dspec.n_frames, wall, loop_wall,
         detections=sum(len(d) for d in dets),
     )
 
@@ -587,7 +523,7 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
     from .analysis.detection import nms
     wall, kept = _best_of(lambda: nms(cands, 0.4), repeat)
     loop_wall, _ = _best_of(lambda: aloops.nms_loops(cands, 0.4), 1)
-    entry("analysis_nms", len(cands), wall, loop_wall, kept=len(kept))
+    metrics["analysis_nms"] = _entry(len(cands), wall, loop_wall, kept=len(kept))
 
     # Analysis: spectrum peak → line matching.
     energies = np.linspace(0.0, 20000.0, 4096)
@@ -607,7 +543,7 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
 
     wall, n_hits = _best_of(lambda: match_many(identify_elements), repeat)
     loop_wall, _ = _best_of(lambda: match_many(aloops.identify_elements_loops), 1)
-    entry("analysis_hyperspectral", 20, wall, loop_wall, hits=n_hits // 20)
+    metrics["analysis_hyperspectral"] = _entry(20, wall, loop_wall, hits=n_hits // 20)
 
     # Video: normalization bounds + the fp64→uint8 cast, block-batched.
     vmovie = np.abs(np.random.default_rng(5).normal(120.0, 40.0, size=(48, 256, 256)))
@@ -624,7 +560,7 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
 
     wall, n_frames = _best_of(cast_pipeline, repeat)
     loop_wall, _ = _best_of(cast_pipeline_loops, 1)
-    entry("video_cast_bounds", n_frames, wall, loop_wall)
+    metrics["video_cast_bounds"] = _entry(n_frames, wall, loop_wall)
 
     # h5lite: sliced reads.  A chunk-aligned band view against the full
     # read the pre-view API forced, and a crossing tile gather.
@@ -648,7 +584,7 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
 
             wall, n_reads = _best_of(band_reads, repeat)
             loop_wall, _ = _best_of(full_reads, 1)
-            entry("h5lite_band_read", n_reads, wall, loop_wall)
+            metrics["h5lite_band_read"] = _entry(n_reads, wall, loop_wall)
 
             def tile_reads() -> int:
                 for b in range(16):
@@ -657,7 +593,7 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
 
             wall, n_reads = _best_of(tile_reads, repeat)
             loop_wall, _ = _best_of(full_reads, 1)
-            entry("h5lite_tile_read", n_reads, wall, loop_wall)
+            metrics["h5lite_tile_read"] = _entry(n_reads, wall, loop_wall)
 
     # Kernel: same-timestamp cohort drain under an observer (the traced
     # loop's "any work left?" test is now O(1); the reference below is
@@ -694,45 +630,33 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
     wall, n_events = _best_of(cohort_new, repeat)
     loop_wall, n_ref = _best_of(cohort_old_scan, 1)
     assert n_events == n_ref
-    entry("kernel_cohort_drain", n_events, wall, loop_wall)
+    metrics["kernel_cohort_drain"] = _entry(n_events, wall, loop_wall)
     return metrics
 
 
 # -- campaign suite --------------------------------------------------------
 
-def run_campaign_bench(repeat: int = 3, include_sweep: bool = True) -> dict[str, Any]:
+def run_campaign_bench(repeat: int = 3) -> dict[str, Any]:
     from .core import run_campaign
+    from .core.sweep import chaos_grid, run_sweep
 
     metrics: dict[str, Any] = {}
     wall, res = _best_of(
         lambda: run_campaign("hyperspectral", duration_s=3600.0, seed=1), repeat
     )
-    metrics["hyperspectral_hour"] = {
-        "n_ops": len(res.completed_runs),
-        "wall_s": wall,
-        "ops_per_s": len(res.completed_runs) / wall,
-    }
-    if include_sweep:
-        from .core.sweep import chaos_grid, run_sweep
-
-        variants = chaos_grid(seeds=(0,), duration_s=1800.0)
-        wall_serial, serial = _best_of(lambda: run_sweep(variants, jobs=1), 1)
-        metrics["chaos_sweep_serial"] = {
-            "n_ops": len(serial),
-            "wall_s": wall_serial,
-            "ops_per_s": len(serial) / wall_serial,
-        }
-        jobs = min(4, os.cpu_count() or 1)
-        if jobs > 1:
-            wall_par, par = _best_of(lambda: run_sweep(variants, jobs=jobs), 1)
-            metrics["chaos_sweep_parallel"] = {
-                "n_ops": len(par),
-                "wall_s": wall_par,
-                "ops_per_s": len(par) / wall_par,
-                "jobs": jobs,
-                "identical_to_serial": [o.payload() for o in par]
-                == [o.payload() for o in serial],
-            }
+    metrics["hyperspectral_hour"] = _entry(len(res.completed_runs), wall)
+    variants = chaos_grid(seeds=(0,), duration_s=1800.0)
+    wall_serial, serial = _best_of(lambda: run_sweep(variants, jobs=1), 1)
+    metrics["chaos_sweep_serial"] = _entry(len(serial), wall_serial)
+    jobs = min(4, os.cpu_count() or 1)
+    if jobs > 1:
+        wall_par, par = _best_of(lambda: run_sweep(variants, jobs=jobs), 1)
+        metrics["chaos_sweep_parallel"] = _entry(
+            len(par), wall_par,
+            jobs=jobs,
+            identical_to_serial=[o.payload() for o in par]
+            == [o.payload() for o in serial],
+        )
     return metrics
 
 
@@ -775,13 +699,20 @@ def check_against_baseline(
     """Compare a fresh measurement against a committed baseline.
 
     Returns a list of human-readable regression descriptions (empty
-    means the gate passes).  Only throughput (``ops_per_s``) gates;
-    peak RSS is reported but informational — it depends on allocator
-    and interpreter details the repo does not control.
+    means the gate passes).  Throughput (``ops_per_s``) gates against
+    the baseline, and any recorded boolean field that is ``False`` (a
+    correctness flag such as ``audit_ok``) fails outright; peak RSS is
+    reported but informational — it depends on allocator and
+    interpreter details the repo does not control.
     """
     problems: list[str] = []
     base_metrics = baseline.get("metrics", {})
     for name, cur in current.get("metrics", {}).items():
+        problems.extend(
+            f"{current['suite']}.{name}.{key} is False"
+            for key, value in cur.items()
+            if value is False
+        )
         base = base_metrics.get(name)
         if base is None:
             continue  # new metric: no baseline yet
@@ -828,7 +759,7 @@ def run_bench_cli(
             print(f"wrote {path}")
     if check:
         if failures:
-            print("\nREGRESSIONS (>25% below committed baseline):")
+            print(f"\nREGRESSIONS (>{CHECK_TOLERANCE:.0%} below committed baseline):")
             for f in failures:
                 print(f"  {f}")
             return 1

@@ -5,11 +5,16 @@ wall-clock read, an unseeded RNG draw, a hash-ordered iteration, a
 mis-wired flow definition, or a leaked span/timer/temp-file into
 ``src/repro`` fails the ordinary pytest run — no separate CI step
 needed.
+
+The whole-package analysis runs once per module (the ``selfcheck``
+fixture); every test below asserts against that one result.
 """
 
 from __future__ import annotations
 
 import os
+
+import pytest
 
 import repro
 from repro.lint import Analyzer, Severity
@@ -17,19 +22,25 @@ from repro.lint import Analyzer, Severity
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def test_repro_package_is_lint_clean():
-    diagnostics = Analyzer().lint_paths([PACKAGE_ROOT])
+@pytest.fixture(scope="module")
+def selfcheck():
+    """One fresh, cache-less analysis of the package: ``(analyzer, diagnostics)``."""
+    analyzer = Analyzer()
+    return analyzer, analyzer.lint_paths([PACKAGE_ROOT])
+
+
+def test_repro_package_is_lint_clean(selfcheck):
+    _analyzer, diagnostics = selfcheck
     errors = [d for d in diagnostics if d.severity >= Severity.ERROR]
     assert not errors, "lint errors in src/repro:\n" + "\n".join(
         d.format() for d in errors
     )
 
 
-def test_repro_package_has_no_lifecycle_errors():
+def test_repro_package_has_no_lifecycle_errors(selfcheck):
     # The R5xx pack specifically: every span is finished, every timer
     # cancelled or awaited, every temp file cleaned on failure paths.
-    analyzer = Analyzer()
-    diagnostics = analyzer.lint_paths([PACKAGE_ROOT])
+    _analyzer, diagnostics = selfcheck
     lifecycle = [d for d in diagnostics if d.rule_id.startswith("R5")]
     assert not lifecycle, "resource-lifecycle findings:\n" + "\n".join(
         d.format() for d in lifecycle
@@ -49,9 +60,8 @@ def test_selfcheck_covers_the_whole_package():
     assert any(p.endswith(os.path.join("sim", "core.py")) for p in py_files)
 
 
-def test_selfcheck_reports_statistics():
-    analyzer = Analyzer()
-    analyzer.lint_paths([PACKAGE_ROOT])
+def test_selfcheck_reports_statistics(selfcheck):
+    analyzer, _diagnostics = selfcheck
     stats = analyzer.stats.as_dict()
     assert stats["files_total"] > 60
     assert stats["files_analyzed"] == stats["files_total"]
@@ -74,7 +84,7 @@ def test_rule_catalog_is_complete():
     assert {"N701", "N702", "N703", "N704", "N705"} <= set(catalog)
 
 
-def test_no_findings_beyond_committed_baseline():
+def test_no_findings_beyond_committed_baseline(selfcheck):
     # The ratchet: *any* new finding — warning or error — must either be
     # fixed or explicitly accepted by regenerating LINT_BASELINE.json
     # (`python -m repro lint --write-baseline`, the documented escape
@@ -89,7 +99,7 @@ def test_no_findings_beyond_committed_baseline():
         "`PYTHONPATH=src python -m repro lint src/repro --write-baseline`"
     )
     baseline = Baseline.load(baseline_path)
-    diagnostics = Analyzer().lint_paths([PACKAGE_ROOT])
+    _analyzer, diagnostics = selfcheck
     fresh, _suppressed = baseline.apply(diagnostics)
     assert not fresh, (
         "new lint findings not in LINT_BASELINE.json (fix them, or "
