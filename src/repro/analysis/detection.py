@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ReproError
 from .metrics import Box, iou_matrix, map_range
@@ -223,6 +222,8 @@ class BlobDetector:
         scale.  Per-frame candidate order (scale-major, then row-major)
         and all float arithmetic match the scalar path bit for bit.
         """
+        from scipy import ndimage  # first use: keeps scipy off the import path
+
         p = self.params
         n_frames, h, w = stack.shape
         # Remove the slowly varying background so thresholds are about

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ReproError
 from ..instrument.xray import ELEMENT_LINES
@@ -90,6 +90,36 @@ def _line_table() -> "tuple[tuple[str, ...], tuple[str, ...], np.ndarray]":
     return _LINE_TABLE
 
 
+#: Window cells (spectrum length x median width) up to which numpy's
+#: O(n*w) partition computes the continuum.  Beyond it, scipy's O(n log w)
+#: median filter is imported at first use: at 4096 channels it is ~10x
+#: faster per call.  Spectra up to 1247 channels, the 1024-channel default
+#: included, stay on numpy and never load scipy.
+_NUMPY_MEDIAN_MAX_CELLS = 1 << 16
+
+
+def _median_nearest(x: np.ndarray, width: int) -> np.ndarray:
+    """``ndimage.median_filter(x, size=width, mode="nearest")`` for odd
+    ``width``.  The numpy path takes the middle order statistic of each
+    edge-padded window: selection only, so the result is exact."""
+    if x.size * width > _NUMPY_MEDIAN_MAX_CELLS:
+        from scipy import ndimage
+
+        return ndimage.median_filter(x, size=width, mode="nearest")
+    half = width // 2
+    windows = sliding_window_view(np.pad(x, half, mode="edge"), width)
+    return np.partition(windows, half, axis=1)[:, half]
+
+
+def _max5_reflect(x: np.ndarray) -> np.ndarray:
+    """``ndimage.maximum_filter(x, size=5)``: the max of each window of
+    five, padded by half-sample reflection (scipy's default ``"reflect"``
+    mode is numpy's ``"symmetric"``)."""
+    padded = np.pad(x, 2, mode="symmetric")
+    n = x.size
+    return np.maximum.reduce([padded[k : k + n] for k in range(5)])
+
+
 def identify_elements(
     spectrum: np.ndarray,
     energies: np.ndarray,
@@ -102,19 +132,21 @@ def identify_elements(
     prominence exceeds ``min_prominence_frac`` of the largest peak; each
     is attributed to the nearest tabulated line within ``tolerance_ev``.
     An element is reported once per matched line (strongest peak wins).
+    A spectrum holding NaN or inf raises :class:`ReproError`: no peak
+    compares true against a NaN, so it would otherwise match nothing.
     """
     spectrum = np.asarray(spectrum, dtype=np.float64)
     energies = np.asarray(energies, dtype=np.float64)
     if spectrum.shape != energies.shape:
         raise ReproError("spectrum and energies must be the same length")
+    if not np.isfinite(spectrum).all():
+        raise ReproError("spectrum contains NaN or inf")
+    if not spectrum.size:
+        return []
     # Continuum estimate: heavy median smoothing.
     width = max(9, len(spectrum) // 24) | 1  # odd
-    continuum = ndimage.median_filter(spectrum, size=width, mode="nearest")
-    residual = spectrum - continuum
-    peaks_mask = (
-        (residual == ndimage.maximum_filter(residual, size=5))
-        & (residual > 0)
-    )
+    residual = spectrum - _median_nearest(spectrum, width)
+    peaks_mask = (residual == _max5_reflect(residual)) & (residual > 0)
     if not peaks_mask.any():
         return []
     threshold = residual[peaks_mask].max() * min_prominence_frac

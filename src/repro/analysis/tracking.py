@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..errors import ReproError
 from .detection import Detection
@@ -81,6 +80,8 @@ class IouTracker:
             m = iou_matrix([t.last_box for t in self.active], dets)
             # Hungarian on negative IoU; forbid below-threshold pairs.
             cost = 1.0 - m
+            from scipy.optimize import linear_sum_assignment  # first use
+
             rows, cols = linear_sum_assignment(cost)
             matched_tracks, matched_dets = set(), set()
             for r, c in zip(rows, cols):

@@ -80,6 +80,19 @@ def test_identify_elements_flat_spectrum():
     assert identify_elements(np.zeros(128), e) == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_identify_elements_rejects_non_finite(bad):
+    e = energy_axis(128)
+    spec = np.ones(128)
+    spec[40] = bad
+    with pytest.raises(ReproError, match="NaN or inf"):
+        identify_elements(spec, e)
+
+
+def test_identify_elements_empty_spectrum():
+    assert identify_elements(np.zeros(0), np.zeros(0)) == []
+
+
 def test_figure_svgs_render(hyper_signal):
     sig, _ = hyper_signal
     f1 = intensity_figure_svg(sig.data)

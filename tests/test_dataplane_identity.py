@@ -175,6 +175,59 @@ def test_identify_elements_empty_and_no_match():
     assert got == ref == []
 
 
+@pytest.mark.parametrize("n_bins", [512, 1024, 1536, 4096])
+def test_identify_elements_identical_on_both_continuum_paths(n_bins):
+    """numpy computes the continuum up to 1024 bins, scipy from 1536."""
+    spectrum, energies = _spectrum_with_lines(0, n_bins=n_bins)
+    got = identify_elements(spectrum, energies)
+    assert got == aloops.identify_elements_loops(spectrum, energies)
+    assert len(got) > 0
+
+
+def _short_spectra():
+    """Spectra of 1-12 bins, shorter than the 9-bin median window: line
+    peaks, a flat plateau and random counts."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        energies = np.linspace(250.0, 2500.0, n)
+        yield energies, 1000.0 * np.exp(-0.5 * ((energies - 525.0) / 120.0) ** 2)
+        yield energies, np.full(n, 3.0)
+        yield energies, rng.poisson(20.0, size=n).astype(np.float64)
+
+
+@pytest.mark.parametrize("case", range(36))
+def test_identify_elements_short_spectra_identical(case):
+    energies, spectrum = list(_short_spectra())[case]
+    got = identify_elements(spectrum, energies, tolerance_ev=200.0)
+    ref = aloops.identify_elements_loops(spectrum, energies, tolerance_ev=200.0)
+    assert got == ref
+
+
+@pytest.mark.parametrize("n_bins", [64, 65, 512])
+def test_identify_elements_edge_plateaus_identical(n_bins):
+    """Tied maxima at both ends: two-bin plateaus one bin in from the
+    first and last bins, inside the reach of both filters' edge padding,
+    plus a plateau in the middle.  Every tied bin is a peak; the first of
+    each pair wins its line."""
+    energies = np.linspace(250.0, 250.0 + 10.0 * (n_bins - 1), n_bins)
+    spectrum = np.full(n_bins, 5.0)
+    spectrum[1:3] = 400.0
+    spectrum[-3:-1] = 300.0
+    spectrum[n_bins // 2 : n_bins // 2 + 4] = 250.0
+    got = identify_elements(spectrum, energies, tolerance_ev=1e4)
+    ref = aloops.identify_elements_loops(spectrum, energies, tolerance_ev=1e4)
+    assert got == ref
+    assert len(got) > 0  # the plateaus are matched, not filtered away
+
+
+@pytest.mark.parametrize("n_bins", [1, 5, 9, 10, 512])
+def test_identify_elements_all_zero_identical(n_bins):
+    energies = np.linspace(0.0, 20000.0, n_bins)
+    spectrum = np.zeros(n_bins)
+    got = identify_elements(spectrum, energies)
+    assert got == aloops.identify_elements_loops(spectrum, energies) == []
+
+
 # -- analysis: video -------------------------------------------------------
 
 @pytest.mark.parametrize("seed", SEEDS)
