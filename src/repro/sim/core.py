@@ -84,7 +84,7 @@ class Event:
     → *processed* (callbacks ran).  Callbacks receive the event itself.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_cancelled", "_skey")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_cancelled")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -128,13 +128,16 @@ class Event:
         self._value = value
         # Inlined ``env.schedule(self, priority=NORMAL)``: succeed() is
         # the hottest scheduling call in flow-heavy campaigns (stores,
-        # resources, conditions, process termination), and a delay-0
-        # NORMAL event always lands on the immediate lane.
+        # resources, conditions, process termination); a delay-0 NORMAL
+        # event lands on the immediate lane (on the heap under lifo).
         env = self.env
         seq = env._seq
         env._seq = seq + 1
         env._live += 1
-        env._lane_normal_append((env._now, NORMAL, env._tiebreak_sign * seq, self))
+        if env._lifo:
+            heapq.heappush(env._queue, (env._now, NORMAL, -seq, self))
+        else:
+            env._lane_normal_append((env._now, NORMAL, seq, self))
         if env.sanitizer is not None:
             env.sanitizer.on_schedule(self)
         return self
@@ -168,8 +171,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True
@@ -419,7 +422,11 @@ class _StopRun(BaseException):
 
 
 class Environment:
-    """The event loop: a priority queue of (time, priority, seq, event).
+    """The event loop: events fire in ``(time, priority, seq)`` order.
+
+    Under the default fifo tie-break, immediate lanes, per-timestamp
+    timer buckets and a fast drain serve that order; under lifo every
+    entry goes on one reference heap keyed ``(time, priority, -seq)``.
 
     Parameters
     ----------
@@ -450,11 +457,11 @@ class Environment:
                 f"tiebreak must be 'fifo' or 'lifo', got {tiebreak!r}"
             )
         self._now = float(initial_time)
-        # The queue is split three ways by traffic class, preserving the
-        # single total order (time, priority, tiebreak_sign * seq) the
-        # old one-heap design had:
+        # Under fifo the queue is split three ways by traffic class,
+        # preserving the single total order (time, priority, seq) of a
+        # one-heap design:
         #
-        # * ``_queue`` — a 4-tuple heap, now only for *exotic* entries:
+        # * ``_queue`` — a 4-tuple heap, only for *exotic* entries:
         #   future URGENT events (the run-until stop event) and any
         #   priority outside {URGENT, NORMAL}.  Near-empty in practice.
         # * ``_lane_urgent`` / ``_lane_normal`` — deques of delay-0
@@ -463,22 +470,24 @@ class Environment:
         #   global minimum, so time cannot advance while a lane is
         #   non-empty — all lane entries share the current timestamp,
         #   and within a lane the (priority, seq) key is monotone in
-        #   append order.  fifo reads from the left end, lifo from the
-        #   right.
+        #   append order, so the head is the minimum.
         # * ``_buckets``/``_times`` — the timer store: NORMAL events
         #   with delay > 0 are grouped into per-timestamp buckets
-        #   (``{time: [event, ...]}``, append order = seq order; the
-        #   tie-break key rides on the event's ``_skey`` slot, saving a
-        #   tuple per timer), with a heap over the *distinct* times.  Timestamps
-        #   in simulated campaigns repeat heavily (synchronized ticks,
-        #   common periods), so heap traffic drops from one push+pop of
-        #   a 4-tuple per event to one push+pop of a bare float per
+        #   (``{time: [event, ...]}``, append order = seq order), with a
+        #   heap over the *distinct* times.  Timestamps in simulated
+        #   campaigns repeat heavily (synchronized ticks, common
+        #   periods), so heap traffic drops from one push+pop of a
+        #   4-tuple per event to one push+pop of a bare float per
         #   distinct timestamp.  Bucketing by exact float equality is
         #   the same equivalence the heap's tuple comparison applied, so
-        #   the dispatch order is bit-identical.
+        #   the dispatch order is bit-identical.  A timer is always
+        #   scheduled before the clock reaches its timestamp, so at any
+        #   one time a bucket's entries precede every NORMAL lane entry.
         # * ``_cur``/``_cur_idx`` — the bucket currently being drained
-        #   (its time == ``_now``); ``_cur_idx`` is the fifo read
-        #   cursor (lifo consumes from the right with ``pop()``).
+        #   (its time == ``_now``) and its read cursor.
+        #
+        # Under lifo (a sanitizer cross-check, off every hot path) the
+        # lanes and buckets stay empty: all entries go on ``_queue``.
         self._queue: list[tuple[float, int, int, Event]] = []
         self._lane_urgent: deque[tuple[float, int, int, Event]] = deque()
         self._lane_normal: deque[tuple[float, int, int, Event]] = deque()
@@ -507,7 +516,7 @@ class Environment:
         #: event is dispatched (see :mod:`repro.sim.trace`).
         self._trace_hook: Optional[Callable[[float, int, "Event"], None]] = None
         self.tiebreak = tiebreak
-        self._tiebreak_sign = 1 if tiebreak == "fifo" else -1
+        self._lifo = tiebreak == "lifo"
         if sanitize:
             from .sanitize import ScheduleSanitizer
 
@@ -528,58 +537,29 @@ class Environment:
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
+        for lane in (self._lane_urgent, self._lane_normal):
+            while lane and lane[0][3]._cancelled:
+                lane.popleft()
+                self._cancelled_count -= 1
+            if lane:
+                return lane[0][0]  # == now: nothing is scheduled earlier
+        if self._cur_head() is not None:
+            return self._now
         queue = self._queue
         while queue and queue[0][3]._cancelled:
             heapq.heappop(queue)
             self._cancelled_count -= 1
         best = queue[0][0] if queue else float("inf")
-        fifo = self._tiebreak_sign == 1
-        for lane in (self._lane_urgent, self._lane_normal):
-            while lane and (lane[0] if fifo else lane[-1])[3]._cancelled:
-                if fifo:
-                    lane.popleft()
-                else:
-                    lane.pop()
-                self._cancelled_count -= 1
-            if lane:
-                t = (lane[0] if fifo else lane[-1])[0]
-                if t < best:
-                    best = t
-        cur = self._cur
-        if cur is not None:
-            if fifo:
-                idx = self._cur_idx
-                while idx < len(cur) and cur[idx]._cancelled:
-                    idx += 1
-                    self._cancelled_count -= 1
-                self._cur_idx = idx
-                if idx >= len(cur):
-                    self._cur = None
-                elif self._now < best:
-                    best = self._now
-            else:
-                while cur and cur[-1]._cancelled:
-                    cur.pop()
-                    self._cancelled_count -= 1
-                if not cur:
-                    self._cur = None
-                elif self._now < best:
-                    best = self._now
         times = self._times
         buckets = self._buckets
         while times:
             t = times[0]
             bucket = buckets[t]
-            while bucket and (bucket[0] if fifo else bucket[-1])._cancelled:
-                if fifo:
-                    del bucket[0]
-                else:
-                    bucket.pop()
+            while bucket and bucket[0]._cancelled:
+                del bucket[0]
                 self._cancelled_count -= 1
             if bucket:
-                if t < best:
-                    best = t
-                break
+                return min(best, t)
             heapq.heappop(times)
             del buckets[t]
         return best
@@ -605,8 +585,8 @@ class Environment:
         # (every simulated wait), so skip the Event.__init__ super-call
         # chain and the schedule() indirection.  Timeout(...) remains the
         # equivalent spelled-out path for direct constructor use.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         ev = _new(_Timeout)
         ev.env = self
         ev.callbacks = []
@@ -619,15 +599,15 @@ class Environment:
         self._seq = seq + 1
         self._live += 1
         t = self._now + delay
-        if t == self._now:
+        if self._lifo:
+            _heappush(self._queue, (t, NORMAL, -seq, ev))
+        elif t == self._now:
             # delay == 0, or small enough to underflow the addition:
             # either way the event fires at the current timestamp, which
-            # is exactly what the immediate lane holds (a ``t == now``
-            # bucket would escape the bucket-drain's preemption checks
-            # under the lifo tie-break).
-            self._lane_normal_append((t, NORMAL, self._tiebreak_sign * seq, ev))
+            # is exactly what the immediate lane holds (a bucket must
+            # only hold timers scheduled before the clock reached them).
+            self._lane_normal_append((t, NORMAL, seq, ev))
         else:
-            ev._skey = self._tiebreak_sign * seq
             bucket = self._buckets_get(t)
             if bucket is None:
                 self._buckets[t] = [ev]
@@ -655,27 +635,23 @@ class Environment:
         """Schedule ``event`` to fire ``delay`` seconds from now."""
         seq = self._seq
         self._seq = seq + 1
-        if delay == 0.0 and (priority == NORMAL or priority == URGENT):
+        if delay == 0.0 and (priority == NORMAL or priority == URGENT) and not self._lifo:
             # Immediate lane: same (time, priority, seq) key the heap
             # would assign, minus the heap.
-            entry = (self._now, priority, self._tiebreak_sign * seq, event)
-            if priority == NORMAL:
-                self._lane_normal.append(entry)
-            else:
-                self._lane_urgent.append(entry)
+            lane = self._lane_normal if priority == NORMAL else self._lane_urgent
+            lane.append((self._now, priority, seq, event))
+        elif not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        elif self._lifo:
+            heapq.heappush(self._queue, (self._now + delay, priority, -seq, event))
         elif priority == NORMAL:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
             # Timer store: bucket by exact target timestamp.  A delay
             # small enough to underflow (t == now) belongs on the
             # immediate lane, like timeout().
             t = self._now + delay
             if t == self._now:
-                self._lane_normal.append(
-                    (t, NORMAL, self._tiebreak_sign * seq, event)
-                )
+                self._lane_normal.append((t, NORMAL, seq, event))
             else:
-                event._skey = self._tiebreak_sign * seq
                 bucket = self._buckets.get(t)
                 if bucket is None:
                     self._buckets[t] = [event]
@@ -683,14 +659,9 @@ class Environment:
                 else:
                     bucket.append(event)
         else:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
             if priority != URGENT:
                 self._has_exotic = True
-            heapq.heappush(
-                self._queue,
-                (self._now + delay, priority, self._tiebreak_sign * seq, event),
-            )
+            heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
         self._live += 1
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(event)
@@ -700,9 +671,10 @@ class Environment:
 
         The event's callbacks never run and its failure (if any) is
         never raised.  Lazy removal with periodic compaction keeps the
-        heap bounded by the number of *live* entries, so components that
-        routinely abandon timers (e.g. the network fabric re-planning
-        around a new stream) do not leak one heap slot per abandonment.
+        queue bounded by the number of *live* entries, so components
+        that routinely abandon timers (e.g. the network fabric
+        re-planning around a new stream) do not leak one slot per
+        abandonment.
 
         Only triggered events sit in the queue; cancelling an untriggered
         or already-processed event is an error.
@@ -726,11 +698,8 @@ class Environment:
             # integer sum: exact and associative, so bucket-dict order
             # (which tracks timer churn) cannot perturb the count.
             n += sum(map(len, self._buckets.values()))  # repro: noqa[N703]
-        cur = self._cur
-        if cur is not None:
-            n += len(cur)
-            if self._tiebreak_sign == 1:
-                n -= self._cur_idx
+        if self._cur is not None:
+            n += len(self._cur) - self._cur_idx
         return n
 
     def _compact(self) -> None:
@@ -759,13 +728,8 @@ class Environment:
                 heapq.heapify(self._times)
         cur = self._cur
         if cur is not None:
-            if self._tiebreak_sign == 1:
-                # Filter only the unread tail; the fifo cursor (local
-                # copies included) stays valid.
-                idx = self._cur_idx
-                cur[idx:] = [e for e in cur[idx:] if not e._cancelled]
-            else:
-                cur[:] = [e for e in cur if not e._cancelled]
+            # Filter only the unread tail: the read cursor stays valid.
+            cur[self._cur_idx:] = [e for e in cur[self._cur_idx:] if not e._cancelled]
         self._cancelled_count = 0
 
     def touch(self, obj: Any, mode: str = "r", label: Optional[str] = None) -> None:
@@ -779,7 +743,24 @@ class Environment:
         if self.sanitizer is not None:
             self.sanitizer.touch(obj, mode, label)
 
-    def _open_bucket(self) -> Optional[tuple[float, int, int, Event]]:
+    def _cur_head(self) -> Optional[Event]:
+        """The current bucket's next live event past the read cursor
+        (None, with ``_cur`` cleared, once the bucket is spent)."""
+        cur = self._cur
+        if cur is None:
+            return None
+        idx = self._cur_idx
+        n = len(cur)
+        while idx < n and cur[idx]._cancelled:
+            idx += 1
+            self._cancelled_count -= 1
+        self._cur_idx = idx
+        if idx < n:
+            return cur[idx]
+        self._cur = None
+        return None
+
+    def _open_bucket(self) -> Optional[tuple[float, int, Optional[int], Event]]:
         """Pop the head of the *earliest* timer bucket, installing any
         remainder as the current bucket.
 
@@ -787,140 +768,68 @@ class Environment:
         earliest bucket held only tombstones (it is dropped; the caller
         must re-decide against the exotic heap, whose top may now come
         first — skipping ahead here would leapfrog it)."""
-        fifo = self._tiebreak_sign == 1
         times = self._times
         if not times:
             return None
         t = heapq.heappop(times)
         bucket = self._buckets.pop(t)
-        if fifo:
-            idx = 0
-            n = len(bucket)
-            while idx < n and bucket[idx]._cancelled:
-                idx += 1
-                self._cancelled_count -= 1
-            if idx >= n:
-                return None
-            event = bucket[idx]
-            if idx + 1 < n:
-                self._cur = bucket
-                self._cur_idx = idx + 1
-        else:
-            while bucket and bucket[-1]._cancelled:
-                bucket.pop()
-                self._cancelled_count -= 1
-            if not bucket:
-                return None
-            event = bucket.pop()
-            if bucket:
-                self._cur = bucket
-        return (t, NORMAL, event._skey, event)
+        idx = 0
+        n = len(bucket)
+        while idx < n and bucket[idx]._cancelled:
+            idx += 1
+            self._cancelled_count -= 1
+        if idx >= n:
+            return None
+        if idx + 1 < n:
+            self._cur = bucket
+            self._cur_idx = idx + 1
+        return (t, NORMAL, None, bucket[idx])
 
-    def _pop_entry(self) -> Optional[tuple[float, int, int, Event]]:
-        """Pop the globally-minimum live entry across all structures."""
-        fifo = self._tiebreak_sign == 1
+    def _pop_entry(self) -> Optional[tuple[float, int, Optional[int], Event]]:
+        """Pop the globally-minimum live ``(time, priority, seq, event)``
+        entry; a timer bucket keeps seq order by position, so its
+        entries come back with ``seq=None``."""
         now = self._now
         queue = self._queue
         while queue and queue[0][3]._cancelled:
             heapq.heappop(queue)
             self._cancelled_count -= 1
         lane_u = self._lane_urgent
-        while lane_u and (lane_u[0] if fifo else lane_u[-1])[3]._cancelled:
-            if fifo:
-                lane_u.popleft()
-            else:
-                lane_u.pop()
+        while lane_u and lane_u[0][3]._cancelled:
+            lane_u.popleft()
             self._cancelled_count -= 1
+        if queue and queue[0][0] == now:
+            # A heap entry at ``now`` goes first if its (priority, seq)
+            # key beats the urgent lane's head or, that lane being
+            # empty, if its priority beats every NORMAL candidate.
+            e = queue[0]
+            if ((e[1], e[2]) < lane_u[0][1:3]) if lane_u else (e[1] < NORMAL):
+                return heapq.heappop(queue)
         if lane_u:
-            # Urgent-now beats everything except an exotic heap entry at
-            # (now, priority < URGENT) or same-priority smaller seq.
-            su = (lane_u[0] if fifo else lane_u[-1])[2]
-            if queue:
-                e = queue[0]
-                if e[0] == now and (e[1] < URGENT or (e[1] == URGENT and e[2] < su)):
-                    return heapq.heappop(queue)
-            return lane_u.popleft() if fifo else lane_u.pop()
-        lane_n = self._lane_normal
-        while lane_n and (lane_n[0] if fifo else lane_n[-1])[3]._cancelled:
-            if fifo:
-                lane_n.popleft()
-            else:
-                lane_n.pop()
-            self._cancelled_count -= 1
-        # NORMAL candidates at the current timestamp: the immediate
-        # lane, the current bucket remainder, or an unopened bucket
-        # whose time equals now (a timer landing exactly at a timestamp
-        # the clock already reached via an urgent/exotic event).
-        sn = (lane_n[0] if fifo else lane_n[-1])[2] if lane_n else None
-        cur = self._cur
-        sc = None
-        if cur is not None:
-            if fifo:
-                idx = self._cur_idx
-                n = len(cur)
-                while idx < n and cur[idx]._cancelled:
-                    idx += 1
-                    self._cancelled_count -= 1
+            return lane_u.popleft()
+        # NORMAL at the current timestamp: the current bucket's
+        # remainder, or an unopened bucket whose time equals now (a
+        # timer landing exactly at a timestamp the clock already reached
+        # via an urgent/exotic event), precedes the immediate lane.
+        event = self._cur_head()
+        if event is not None:
+            idx = self._cur_idx + 1
+            if idx < len(self._cur):
                 self._cur_idx = idx
-                if idx >= n:
-                    cur = self._cur = None
-                else:
-                    sc = cur[idx]._skey
             else:
-                while cur and cur[-1]._cancelled:
-                    cur.pop()
-                    self._cancelled_count -= 1
-                if not cur:
-                    cur = self._cur = None
-                else:
-                    sc = cur[-1]._skey
-        sb = None
+                self._cur = None
+            return (now, NORMAL, None, event)
         times = self._times
-        buckets = self._buckets
-        while times and times[0] == now:
-            bucket = buckets[now]
-            while bucket and (bucket[0] if fifo else bucket[-1])._cancelled:
-                if fifo:
-                    del bucket[0]
-                else:
-                    bucket.pop()
-                self._cancelled_count -= 1
-            if bucket:
-                sb = (bucket[0] if fifo else bucket[-1])._skey
-                break
-            heapq.heappop(times)
-            del buckets[now]
-        # cur and an unopened now-bucket cannot coexist (one bucket per
-        # timestamp, removed from the store when opened), but lane_n can
-        # accompany either: pick the smallest seq key.
-        best = sn
-        src = 1
-        if sc is not None and (best is None or sc < best):
-            best, src = sc, 2
-        if sb is not None and (best is None or sb < best):
-            best, src = sb, 3
-        if best is not None:
-            if queue:
-                e = queue[0]
-                if e[0] == now and e[1] < NORMAL:
-                    return heapq.heappop(queue)
-            if src == 1:
-                return lane_n.popleft() if fifo else lane_n.pop()
-            if src == 2:
-                if fifo:
-                    idx = self._cur_idx
-                    event = cur[idx]
-                    idx += 1
-                    if idx >= len(cur):
-                        self._cur = None
-                    else:
-                        self._cur_idx = idx
-                else:
-                    event = cur.pop()
-                    if not cur:
-                        self._cur = None
-                return (now, NORMAL, event._skey, event)
-            return self._open_bucket()
+        if times and times[0] == now:
+            entry = self._open_bucket()
+            if entry is not None:
+                return entry
+        lane_n = self._lane_normal
+        while lane_n and lane_n[0][3]._cancelled:
+            lane_n.popleft()
+            self._cancelled_count -= 1
+        if lane_n:
+            return lane_n.popleft()
         # Nothing at the current timestamp: advance to the earliest of
         # the exotic heap and the timer store.
         while True:
@@ -981,9 +890,9 @@ class Environment:
                 stop.callbacks.append(self._stop_callback)
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:  # also rejects NaN
                     raise SimulationError(
-                        f"run(until={at}) is in the past (now={self._now})"
+                        f"run(until={at}) is not at or after now={self._now}"
                     )
                 stop = Event(self)
                 stop._ok = True
@@ -994,10 +903,11 @@ class Environment:
             if (
                 self.sanitizer is None
                 and self._trace_hook is None
+                and not self._lifo
                 and type(self) is Environment
             ):
-                # No observers attached and no step() override possible:
-                # dispatch in the tight loop.
+                # No observers attached, the split queue in use, and no
+                # step() override possible: dispatch in the tight loop.
                 self._run_fast()
             else:
                 while self._has_pending():
@@ -1012,25 +922,25 @@ class Environment:
 
     # repro: hotpath
     def _run_fast(self) -> None:
-        """Drain the queue without per-event observer checks.
+        """Drain the fifo split queue without per-event observer checks.
 
         Byte-identical to ``while self._has_pending(): self.step()`` —
         the same pop order, the same dispatch, the same failure
         propagation — minus the sanitizer/trace-hook tests and the
         method-call overhead per event.  Only entered when no sanitizer
-        or trace hook is attached and ``type(self) is Environment`` (a
-        subclass overriding :meth:`step` gets the stepping loop).
+        or trace hook is attached, the tie-break is fifo and
+        ``type(self) is Environment`` (a subclass overriding
+        :meth:`step` gets the stepping loop).
 
         The hot branch drains one timer bucket at a stretch.  While a
         bucket drains, already-queued exotic-heap entries cannot
         preempt its remainder (they lost the tie when the bucket was
         opened, on time or on priority, and stay lost), and new
         preemption can only arrive through the urgent lane (delay-0
-        URGENT), the normal lane under the lifo tie-break (newer seq
-        wins ties), or a fresh exotic-heap push (negative priority) —
-        so only those three are checked per event.  Under fifo a
-        lane-normal append (newer seq) sorts after every bucket entry
-        and needs no check.
+        URGENT) or a fresh heap push (a negative priority, or an URGENT
+        delay that underflows the clock) — so only those two are
+        checked per event.  A normal-lane append
+        (newer seq) sorts after every bucket entry and needs no check.
         """
         queue = self._queue
         lane_u = self._lane_urgent
@@ -1038,7 +948,6 @@ class Environment:
         times = self._times
         pop_entry = self._pop_entry
         heappop = heapq.heappop
-        lifo = self._tiebreak_sign != 1
         while True:
             if lane_u or lane_n:
                 if (
@@ -1060,15 +969,13 @@ class Environment:
                     # entries precede normal ones outright, so no key
                     # comparisons are needed.
                     nq = len(queue)
-                    fifo = not lifo
                     while True:
                         if lane_u:
-                            lane = lane_u
+                            event = lane_u.popleft()[3]
                         elif lane_n:
-                            lane = lane_n
+                            event = lane_n.popleft()[3]
                         else:
                             break
-                        event = (lane.popleft() if fifo else lane.pop())[3]
                         if event._cancelled:
                             self._cancelled_count -= 1
                             continue
@@ -1110,6 +1017,12 @@ class Environment:
                         if not times:
                             return
                         continue  # dead bucket dropped; retry
+            elif queue and queue[0][0] == self._now:
+                # A heap entry (e.g. an URGENT delay that underflowed the
+                # clock) shares the bucket's timestamp: merge one event.
+                entry = pop_entry()
+                if entry is None:
+                    return
             else:
                 entry = None  # resume the current bucket
             if entry is not None:
@@ -1131,36 +1044,27 @@ class Environment:
             if (
                 cur is None
                 or lane_u
-                or (lifo and lane_n)
                 or self._has_exotic
                 or (queue and queue[0][0] == self._now)
             ):
                 continue  # outer loop re-dispatches via the general path
-            # Inline drain of the current bucket's remainder.  The
-            # fifo bound is captured once (``n``); a compaction inside a
-            # callback can shrink ``cur`` and leave ``n`` stale, so the
-            # read is guarded by the (zero-cost-until-raised)
-            # IndexError as a safety net — every introspection path
-            # (peek, _pop_entry, _n_pending, _compact) tolerates a
-            # fully-read ``_cur``, so exhaustion may be discovered
-            # lazily on that read.
+            # Inline drain of the current bucket's remainder.  The bound
+            # is captured once (``n``); a compaction inside a callback
+            # can shrink ``cur`` and leave ``n`` stale, so the read is
+            # guarded by the (zero-cost-until-raised) IndexError as a
+            # safety net — every introspection path (peek, _pop_entry,
+            # _n_pending, _compact) tolerates a fully-read ``_cur``, so
+            # exhaustion may be discovered lazily on that read.
             nq = len(queue)
             n = len(cur)
             while True:
-                if lifo:
-                    try:
-                        event = cur.pop()
-                    except IndexError:
-                        self._cur = None
-                        break
-                else:
-                    idx = self._cur_idx
-                    try:
-                        event = cur[idx]
-                    except IndexError:
-                        self._cur = None
-                        break
-                    self._cur_idx = idx + 1
+                idx = self._cur_idx
+                try:
+                    event = cur[idx]
+                except IndexError:
+                    self._cur = None
+                    break
+                self._cur_idx = idx + 1
                 if event._cancelled:
                     self._cancelled_count -= 1
                     continue
@@ -1174,18 +1078,13 @@ class Environment:
                         callback(event)
                 if event._ok is False and not event._defused:
                     raise event._value
-                if lifo:
-                    if not cur:
-                        if self._cur is cur:
-                            self._cur = None
-                        break
-                elif self._cur_idx >= n:
+                if self._cur_idx >= n:
                     if self._cur is cur:
                         self._cur = None
                     break
                 if self._cur is not cur:
                     break  # swapped out by a nested run()
-                if lane_u or (lifo and lane_n) or len(queue) != nq:
+                if lane_u or len(queue) != nq:
                     break  # new work may precede the remainder
 
     @staticmethod

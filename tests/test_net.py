@@ -381,7 +381,7 @@ def test_repeated_admissions_do_not_bloat_the_event_queue():
 
     def monitor():
         while True:
-            peak[0] = max(peak[0], len(env._queue))
+            peak[0] = max(peak[0], env._n_pending())
             yield env.timeout(0.1)
 
     env.process(trickle())
@@ -409,4 +409,4 @@ def test_cancelled_fabric_timers_do_not_fire_spuriously():
     env.run()
     # Both streams completed; queue fully drained (no orphan events).
     assert done_a.processed
-    assert len(env._queue) == env._cancelled_count == 0
+    assert env._n_pending() == env._cancelled_count == 0

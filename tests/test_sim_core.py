@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Timeout
 
 
 def test_time_starts_at_zero():
@@ -50,6 +50,50 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1)
+
+
+# A NaN time passes a ``delay < 0`` guard and would fire first at
+# ``now == nan``, after which the clock steps back to the next real
+# timer.  Each entry point must reject it outright.
+
+
+@pytest.mark.parametrize("tiebreak", ["fifo", "lifo"])
+def test_nan_timeout_rejected(tiebreak):
+    env = Environment(tiebreak=tiebreak)
+    env.timeout(1.0)
+    env.timeout(5.0)
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+    with pytest.raises(SimulationError):
+        Timeout(env, float("nan"))
+    env.run()
+    assert env.now == 5.0
+
+
+@pytest.mark.parametrize("tiebreak", ["fifo", "lifo"])
+def test_nan_schedule_delay_rejected(tiebreak):
+    env = Environment(tiebreak=tiebreak)
+    env.timeout(1.0)
+    env.timeout(5.0)
+    ev = env.event()
+    ev._ok, ev._value = True, None
+    with pytest.raises(SimulationError):
+        env.schedule(ev, delay=float("nan"))
+    with pytest.raises(SimulationError):
+        env.schedule(ev, delay=float("nan"), priority=2)
+    assert env._live == 2
+    env.run()
+    assert env.now == 5.0
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+    env.run()
+    assert env.now == 1.0
 
 
 def test_processes_interleave_in_time_order():
@@ -447,8 +491,8 @@ def test_cancel_is_idempotent_and_queue_compacts():
     for t in timeouts:
         env.cancel(t)
         env.cancel(t)  # idempotent
-    # Tombstone compaction keeps the heap bounded by live entries.
-    assert len(env._queue) < 60
+    # Tombstone compaction keeps the queue bounded by live entries.
+    assert env._n_pending() < 60
     env.run()
     assert env.now == 0.0  # nothing ever fired
 

@@ -1,19 +1,25 @@
 """Tests for the kernel's split queue: lanes, calendar buckets, fast drain.
 
-The optimized kernel keeps one *logical* total order —
-``(time, priority, tiebreak_sign * seq)`` — but stores entries in three
-physical structures (immediate lanes, per-timestamp timer buckets, and
-an exotic heap).  These tests pin the seams between them: underflowing
-delays, mid-drain scheduling and cancellation, exotic priorities mixed
-into bucket drains, compaction while a bucket is being read, and the
-fired-condition callback detach.
+The kernel keeps one *logical* total order — ``(time, priority, seq)``
+under fifo, ``(time, priority, -seq)`` under lifo.  Under fifo it stores
+entries in three physical structures (immediate lanes, per-timestamp
+timer buckets, and an exotic heap); under lifo everything sits on the
+heap.  These tests pin the seams between them: underflowing delays,
+mid-drain scheduling and cancellation, exotic priorities mixed into
+bucket drains, compaction while a bucket is being read, and the
+fired-condition callback detach — plus a property test against a
+single-heap reference model.
 """
 
 from __future__ import annotations
 
 import gc
+import heapq
+import itertools
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment
 from repro.sim.core import NORMAL, URGENT
@@ -101,6 +107,53 @@ def test_mid_drain_exotic_priority_is_seen():
     # At t=1.25 the NORMAL timer (priority 1) precedes the exotic
     # (priority 2) even though the exotic was scheduled first.
     assert order == ["first", "second", "timer", "exotic"]
+
+
+@pytest.mark.parametrize("tiebreak", ["fifo", "lifo"])
+def test_underflowed_urgent_preempts_bucket_remainder(tiebreak):
+    """An URGENT delay that underflows the clock addition lands on the
+    heap at ``now``; scheduled mid-bucket, it fires before the bucket's
+    remainder (a fast drain that only resumes the bucket spins forever
+    on it) and keeps its seq order against delay-0 URGENT lane events."""
+    env = Environment(initial_time=1e6, tiebreak=tiebreak)
+    order = []
+
+    def first(_event):
+        order.append("first")
+        assert env.now + 1e-12 == env.now
+        for name, delay in (("u1", 0.0), ("u2", 1e-12), ("u3", 0.0)):
+            ev = env.event()
+            ev._ok, ev._value = True, None
+            env.schedule(ev, delay=delay, priority=URGENT)
+            ev.callbacks.append(_tag(order, name))
+
+    a = env.timeout(1.0)
+    b = env.timeout(1.0)
+    (a if tiebreak == "fifo" else b).callbacks.append(first)
+    (b if tiebreak == "fifo" else a).callbacks.append(_tag(order, "second"))
+    env.run()
+    urgent = ["u1", "u2", "u3"] if tiebreak == "fifo" else ["u3", "u2", "u1"]
+    assert order == ["first", *urgent, "second"]
+
+
+def test_mid_drain_urgent_preempts_bucket_remainder():
+    """A delay-0 URGENT event scheduled by a bucket entry drained inside
+    the fast loop fires before that bucket's remaining timers."""
+    env = Environment()
+    order = []
+
+    def second(_event):
+        order.append("second")
+        ev = env.event()
+        ev._ok, ev._value = True, None
+        env.schedule(ev, priority=URGENT)
+        ev.callbacks.append(_tag(order, "urgent"))
+
+    env.timeout(1.0).callbacks.append(_tag(order, "first"))
+    env.timeout(1.0).callbacks.append(second)
+    env.timeout(1.0).callbacks.append(_tag(order, "third"))
+    env.run()
+    assert order == ["first", "second", "urgent", "third"]
 
 
 def test_urgent_lane_precedes_normal_at_same_tick():
@@ -249,3 +302,127 @@ def test_exotic_priorities_total_order():
     env.timeout(1.0).callbacks.append(_tag(order, "normal"))
     env.run()
     assert order == ["normal", "exotic", "late-exotic", "next-tick"]
+
+
+# -- reference-order property --------------------------------------------------
+
+#: Delays mix zero, repeated values and, at ``initial_time=1e6``, a
+#: positive delay that underflows the clock addition (``1e6 + 1e-12 ==
+#: 1e6``); priorities mix URGENT, NORMAL and exotic values.
+_DELAYS = [0.0, 1e-12, 0.5, 1.0, 1.0, 2.0]
+_PRIOS = [-1, URGENT, NORMAL, 2]
+_MODES = ["timeout", "succeed", "schedule"]
+
+
+def _normalize(delay, prio, mode):
+    """The (delay, priority) a scheduling call of ``mode`` really uses."""
+    if mode == "timeout":
+        return delay, NORMAL
+    if mode == "succeed":
+        return 0.0, NORMAL
+    return delay, prio
+
+
+# Children are delay-0 (or underflowing) events scheduled from a firing
+# callback, weighted toward ``schedule``: the only mode that reaches the
+# urgent lane and the heap.
+_child = st.tuples(
+    st.sampled_from([0.0, 0.0, 1e-12]),
+    st.sampled_from(_PRIOS),
+    st.sampled_from(_MODES + ["schedule"]),
+)
+_op = st.fixed_dictionaries(
+    {
+        "spec": st.tuples(
+            st.sampled_from(_DELAYS), st.sampled_from(_PRIOS), st.sampled_from(_MODES)
+        ),
+        "children": st.lists(_child, max_size=3),
+        "cancel_upfront": st.booleans(),
+        "cancels": st.one_of(st.none(), st.integers(min_value=0, max_value=39)),
+    }
+)
+
+
+def _reference(t0, ops, lifo):
+    """Single-heap model: dispatch order of the script under
+    ``(time, priority, +/-seq)``."""
+    heap, order, fired = [], [], set()
+    counter = itertools.count()
+    now = t0
+
+    def push(name, spec):
+        delay, prio = _normalize(*spec)
+        k = next(counter)
+        heapq.heappush(heap, (now + delay, prio, -k if lifo else k, name))
+
+    for i, op in enumerate(ops):
+        push(i, op["spec"])
+    cancelled = {i for i, op in enumerate(ops) if op["cancel_upfront"]}
+    while heap:
+        now, _, _, name = heapq.heappop(heap)
+        if name in cancelled:
+            continue
+        fired.add(name)
+        order.append((now, name))
+        if isinstance(name, int):
+            for j, spec in enumerate(ops[name]["children"]):
+                push((name, j), spec)
+            victim = ops[name]["cancels"]
+            if victim is not None and victim < len(ops) and victim not in fired:
+                cancelled.add(victim)
+    return order
+
+
+def _kernel(t0, ops, tiebreak, stepping):
+    env = Environment(initial_time=t0, tiebreak=tiebreak)
+    order, events = [], {}
+
+    def fire(name):
+        order.append((env.now, name))
+        if isinstance(name, int):
+            for j, spec in enumerate(ops[name]["children"]):
+                make((name, j), spec)
+            victim = ops[name]["cancels"]
+            if victim is not None and victim < len(ops):
+                if not events[victim].processed:
+                    env.cancel(events[victim])
+
+    def make(name, spec):
+        delay, prio = _normalize(*spec)
+        mode = spec[2]
+        if mode == "timeout":
+            ev = env.timeout(delay)
+        else:
+            ev = env.event()
+            if mode == "succeed":
+                ev.succeed()
+            else:
+                ev._ok, ev._value = True, None
+                env.schedule(ev, delay=delay, priority=prio)
+        ev.callbacks.append(lambda _e, n=name: fire(n))
+        events[name] = ev
+
+    for i, op in enumerate(ops):
+        make(i, op["spec"])
+    for i, op in enumerate(ops):
+        if op["cancel_upfront"]:
+            env.cancel(events[i])
+    if stepping:
+        while env._has_pending():
+            env.step()
+            assert env._n_pending() - env._cancelled_count == env._live
+    else:
+        env.run()
+    assert env._live == 0
+    return order
+
+
+@seed(20231112)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.0, 1e6]), st.lists(_op, min_size=2, max_size=40))
+def test_dispatch_order_matches_single_heap_reference(t0, ops):
+    for tiebreak in ("fifo", "lifo"):
+        expected = _reference(t0, ops, lifo=tiebreak == "lifo")
+        for stepping in (False, True):
+            got = _kernel(t0, ops, tiebreak, stepping)
+            assert got == expected, (tiebreak, stepping)
