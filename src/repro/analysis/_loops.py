@@ -2,14 +2,15 @@
 
 Pre-vectorization per-frame / per-peak code paths, kept verbatim as the
 *numeric ground truth* for the batched implementations in
-:mod:`.detection`, :mod:`.hyperspectral`, and :mod:`.video`:
+:mod:`.detection` and :mod:`.hyperspectral`:
 
 * ``tests/test_dataplane_identity.py`` asserts the vectorized outputs
   are bit-for-bit equal to these across seeds;
 * ``repro bench dataplane`` times both and reports the speedup.
 
-They are not exported from the package and must not be used by product
-code.
+The video bounds pass has no reference: it is itself the per-frame loop.
+Not exported; product code must not load this module
+(``tests/test_import_budget.py``).
 """
 
 # repro: noqa-file[P602]  reference loop implementations, pinned on purpose
@@ -161,14 +162,3 @@ def identify_elements_loops(
                 prominence=prominence,
             )
     return sorted(hits.values(), key=lambda h: -h.prominence)
-
-
-def movie_bounds_loops(data, sample_stride: int = 1) -> tuple[float, float]:
-    """Pre-PR ``_movie_bounds``: one percentile pass per sampled frame."""
-    los, his = [], []
-    for t in range(0, data.shape[0], sample_stride):
-        frame = np.asarray(data[t], dtype=np.float64)
-        lo, hi = np.percentile(frame, [0.5, 99.8])
-        los.append(lo)
-        his.append(hi)
-    return float(np.median(los)), float(max(his))

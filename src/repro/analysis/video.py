@@ -16,6 +16,7 @@ memory is one frame, not the 1.2 GB tensor.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import Iterable, Iterator, Optional, Sequence
@@ -51,10 +52,18 @@ def movie_to_uint8(
     Percentile clipping keeps a few hot pixels from crushing contrast.
     """
     movie = np.asarray(movie)
-    if movie.ndim != 3:
-        raise FormatError(f"movie must be (T, H, W), got {movie.shape}")
-    lo, hi = np.percentile(movie, [lo_percentile, hi_percentile])
-    return _cast(movie, float(lo), float(hi))
+    if movie.ndim != 3 or movie.size == 0:
+        raise FormatError(f"movie must be a non-empty (T, H, W) array, got {movie.shape}")
+    return _cast(movie, *_bounds(movie, lo_percentile, hi_percentile, "movie"))
+
+
+def _bounds(x: np.ndarray, lo_pct: float, hi_pct: float, what: str) -> tuple[float, float]:
+    """Percentile bounds of ``x``.  One NaN pixel makes them NaN, and a
+    NaN bound would cast every frame to zero, so that raises instead."""
+    lo, hi = np.percentile(x, [lo_pct, hi_pct])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise FormatError(f"{what}: normalization bounds ({lo}, {hi}) are not finite")
+    return float(lo), float(hi)
 
 
 def _cast(frames: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -82,8 +91,8 @@ def write_video(
 
     (n_frames is back-patched after streaming.)
     """
-    if fps <= 0:
-        raise FormatError(f"fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise FormatError(f"fps must be positive and finite, got {fps}")
     n = 0
     with open(os.fspath(path), "wb") as fh:
         fh.write(MAGIC)
@@ -129,42 +138,16 @@ def read_video(path: "str | os.PathLike") -> Iterator[bytes]:
             yield png
 
 
-#: Per-block byte budget for batched frame reads: large enough to
-#: amortize container round-trips, small enough that peak memory stays
-#: a handful of frames (the paper's constraint), not the full tensor.
-_BLOCK_BYTES = 32 << 20
-
-
-def _block_frames(shape: "tuple[int, ...]", itemsize: int) -> int:
-    frame_bytes = max(1, int(np.prod(shape[1:], dtype=np.int64)) * int(itemsize))
-    return max(1, _BLOCK_BYTES // frame_bytes)
-
-
 def _movie_bounds(data, sample_stride: int = 1) -> tuple[float, float]:
     """Normalization bounds from (a sample of) the frames — the global
-    pass the cast forces over the data.
-
-    Frames are read and reduced in blocks: a ranged read per block
-    (one chunked-container round-trip) and one axis-(1, 2) percentile,
-    which is bit-identical to the per-frame percentile loop it
-    replaces.
-    """
-    t_total = data.shape[0]
-    itemsize = np.dtype(getattr(data, "dtype", np.float64)).itemsize
-    stride = max(1, sample_stride)
-    block = _block_frames(data.shape, itemsize) * stride
+    pass the cast forces over the data, one frame in memory at a time."""
     los, his = [], []
-    for t0 in range(0, t_total, block):
-        t1 = min(t0 + block, t_total)
-        if stride == 1:
-            frames = np.asarray(data[t0:t1], dtype=np.float64)
-        else:
-            frames = np.stack(
-                [np.asarray(data[t], dtype=np.float64) for t in range(t0, t1, stride)]
-            )
-        lo, hi = np.percentile(frames, [0.5, 99.8], axis=(1, 2))
-        los.extend(lo)
-        his.extend(hi)
+    for t in range(0, data.shape[0], max(1, sample_stride)):
+        lo, hi = _bounds(np.asarray(data[t], dtype=np.float64), 0.5, 99.8, f"frame {t}")
+        los.append(lo)
+        his.append(hi)
+    if not los:
+        raise FormatError(f"movie {data.shape} has no frames")
     return float(np.median(los)), float(max(his))
 
 
@@ -173,7 +156,8 @@ def convert_emd_to_video(
     out_path: "str | os.PathLike",
     fps: float = 25.0,
 ) -> int:
-    """The flow's conversion step: EMD movie → MPNG, block-lazily."""
+    """The flow's conversion step: EMD movie → MPNG, frame by frame.
+    The bounds pass reads every frame, so a NaN frame raises first."""
     with EmdFile(emd_path) as f:
         handle = f.signal()
         if handle.signal_type != "spatiotemporal":
@@ -183,15 +167,8 @@ def convert_emd_to_video(
             )
         data = handle.data
         lo, hi = _movie_bounds(data)
-        block = _block_frames(data.shape, np.dtype(data.dtype).itemsize)
-
-        def frames() -> Iterator[np.ndarray]:
-            for t0 in range(0, data.shape[0], block):
-                chunk = np.asarray(data[t0 : min(t0 + block, data.shape[0])])
-                for u8 in _cast(chunk, lo, hi):
-                    yield u8
-
-        return write_video(out_path, frames(), fps=fps)
+        frames = (_cast(np.asarray(data[t]), lo, hi) for t in range(data.shape[0]))
+        return write_video(out_path, frames, fps=fps)
 
 
 def annotate_video(

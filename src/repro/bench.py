@@ -459,7 +459,8 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
     (bit-identity between the two is pinned by
     ``tests/test_dataplane_identity.py``); the loop wall and the
     resulting ``speedup_vs_loop`` ride along as informational keys.
-    Only ``ops_per_s`` of the vectorized path gates in ``--check``.
+    ``instrument_movie`` and ``video_cast_bounds`` time per-frame kernels
+    with no loop twin.  Only ``ops_per_s`` gates in ``--check``.
     """
     import tempfile
 
@@ -477,13 +478,10 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
 
     metrics: dict[str, Any] = {}
 
-    # Instrument: movie synthesis (batched RNG + frame-batched scatter).
+    # Instrument: movie synthesis, one windowed render per frame.
     spec = MovieSpec(n_frames=30, shape=(256, 256), n_particles=12)
     wall, _ = _best_of(lambda: generate_movie(spec, np.random.default_rng(0)), repeat)
-    loop_wall, _ = _best_of(
-        lambda: iloops.generate_movie_loops(spec, np.random.default_rng(0)), 1
-    )
-    metrics["instrument_movie"] = _entry(spec.n_frames, wall, loop_wall)
+    metrics["instrument_movie"] = _entry(spec.n_frames, wall)
 
     # Instrument: soft-disk phantom masks (windowed vs full-frame).
     rng = np.random.default_rng(1)
@@ -545,22 +543,16 @@ def run_dataplane_bench(repeat: int = 3) -> dict[str, Any]:
     loop_wall, _ = _best_of(lambda: match_many(aloops.identify_elements_loops), 1)
     metrics["analysis_hyperspectral"] = _entry(20, wall, loop_wall, hits=n_hits // 20)
 
-    # Video: normalization bounds + the fp64→uint8 cast, block-batched.
+    # Video: per-frame normalization bounds + the global fp64→uint8 cast.
     vmovie = np.abs(np.random.default_rng(5).normal(120.0, 40.0, size=(48, 256, 256)))
 
     def cast_pipeline() -> int:
-        lo, hi = _movie_bounds(vmovie)
-        movie_to_uint8(vmovie)
-        return vmovie.shape[0]
-
-    def cast_pipeline_loops() -> int:
-        lo, hi = aloops.movie_bounds_loops(vmovie)
+        _movie_bounds(vmovie)
         movie_to_uint8(vmovie)
         return vmovie.shape[0]
 
     wall, n_frames = _best_of(cast_pipeline, repeat)
-    loop_wall, _ = _best_of(cast_pipeline_loops, 1)
-    metrics["video_cast_bounds"] = _entry(n_frames, wall, loop_wall)
+    metrics["video_cast_bounds"] = _entry(n_frames, wall)
 
     # h5lite: sliced reads.  A chunk-aligned band view against the full
     # read the pre-view API forced, and a crossing tile gather.

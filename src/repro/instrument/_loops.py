@@ -1,70 +1,22 @@
-"""Reference loop implementations of the instrument generators.
+"""Reference loop implementation of the phantom particle mask.
 
-These are the pre-vectorization per-frame / per-pixel code paths, kept
-verbatim as the *numeric ground truth* for the batched implementations
-in :mod:`.spatiotemporal` and :mod:`.phantoms`:
+The pre-vectorization full-frame soft-disk loop, kept verbatim as the
+*numeric ground truth* for the windowed :func:`.phantoms.particle_mask`:
 
-* ``tests/test_dataplane_identity.py`` asserts the vectorized outputs
-  are bit-for-bit equal to these across seeds;
+* ``tests/test_dataplane_identity.py`` asserts the vectorized output
+  is bit-for-bit equal to it across seeds;
 * ``repro bench dataplane`` times both and reports the speedup.
 
-They are not exported from the package and must not be used by product
-code.
+Movie synthesis has no reference: it is itself the per-frame loop.
+Not exported; product code must not load this module
+(``tests/test_import_budget.py``).
 """
-
-# repro: noqa-file[P602]  reference loop implementations, pinned on purpose
 
 from __future__ import annotations
 
 import numpy as np
 
 from .phantoms import Particle
-from .spatiotemporal import MovieSpec, simulate_trajectories
-
-
-def render_frame_loops(
-    shape: tuple[int, int],
-    centers: np.ndarray,
-    radii: np.ndarray,
-    spec: MovieSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Pre-PR ``render_frame``: one background draw + per-particle adds."""
-    h, w = shape
-    frame = rng.normal(spec.background_level, spec.background_noise, size=shape)
-    for (row, col), r in zip(centers, radii):
-        sigma = r / 1.8
-        half = int(np.ceil(3 * sigma))
-        r0, r1 = max(int(row) - half, 0), min(int(row) + half + 1, h)
-        c0, c1 = max(int(col) - half, 0), min(int(col) + half + 1, w)
-        if r1 <= r0 or c1 <= c0:
-            continue
-        rr = np.arange(r0, r1, dtype=np.float64)[:, None]
-        cc = np.arange(c0, c1, dtype=np.float64)[None, :]
-        blob = np.exp(-0.5 * (((rr - row) ** 2 + (cc - col) ** 2) / sigma**2))
-        frame[r0:r1, c0:c1] += spec.particle_peak * blob
-    np.clip(frame, 0.0, None, out=frame)
-    return frame
-
-
-def generate_movie_loops(
-    spec: MovieSpec, rng: "np.random.Generator | None" = None
-) -> tuple[np.ndarray, list[list[Particle]]]:
-    """Pre-PR ``generate_movie``: one :func:`render_frame_loops` per frame."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pos, radii = simulate_trajectories(spec, rng)
-    movie = np.empty((spec.n_frames, *spec.shape), dtype=np.float64)
-    truth: list[list[Particle]] = []
-    for t in range(spec.n_frames):
-        movie[t] = render_frame_loops(spec.shape, pos[t], radii, spec, rng)
-        truth.append(
-            [
-                Particle(row=float(r), col=float(c), radius=float(rad), element="Au")
-                for (r, c), rad in zip(pos[t], radii)
-            ]
-        )
-    return movie, truth
 
 
 def _soft_disk_loops(

@@ -7,12 +7,14 @@ renders detector-count frames: bright Gaussian blobs on a noisy support
 film, stored float64 exactly as the paper's EMD files are (the expensive
 fp64→uint8 cast in the conversion step is then faithful).
 
-Rendering is windowed: each particle touches only a local ±3σ patch, so
-cost scales with particle area, not frame area.
+Rendering is windowed and per frame (:func:`render_frame`): each
+particle touches only a local ±3σ patch, so cost scales with particle
+area, not frame area.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +47,25 @@ class MovieSpec:
     particle_peak: float = 2400.0  # peak counts at particle center
     motion: MotionModel = field(default_factory=MotionModel)
 
+    def __post_init__(self) -> None:
+        lo, hi = self.radius_range
+        numbers = (*self.shape, self.n_frames, self.n_particles, lo, hi,
+                   self.background_level, self.background_noise, self.particle_peak)
+        if not (
+            all(math.isfinite(v) for v in numbers)
+            and min(*self.shape, self.n_frames, self.n_particles) >= 1
+            and 0 < lo <= hi
+            and self.particle_peak > 0
+            and self.background_noise >= 0
+        ):
+            raise ReproError(f"invalid movie spec: {self}")
+
 
 def simulate_trajectories(
     spec: MovieSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(positions, radii)``: positions is (T, N, 2) float64
     (row, col), radii is (N,).  Walls reflect; radii are constant."""
-    if spec.n_frames < 1 or spec.n_particles < 1:
-        raise ReproError("movie needs at least one frame and one particle")
     h, w = spec.shape
     m = spec.motion
     radii = rng.uniform(*spec.radius_range, size=spec.n_particles)
@@ -116,72 +129,15 @@ def generate_movie(
     if rng is None:
         rng = np.random.default_rng(0)
     pos, radii = simulate_trajectories(spec, rng)
-    n_frames = spec.n_frames
-    h, w = spec.shape
-    # One batched draw for every background: a Generator consumes the
-    # bit stream in C order, so a (T, H, W) normal() is bit-identical
-    # to T sequential (H, W) draws.
-    movie = rng.normal(
-        spec.background_level, spec.background_noise, size=(n_frames, h, w)
-    )
-    # Particle blobs, batched over frames.  Radii are constant, so each
-    # particle has one window size for the whole movie; frames whose
-    # window stays inside the frame (the vast majority, given the
-    # reflective wall margins) are scattered in one fancy-indexed add —
-    # frame indices are distinct, so ``+=`` accumulates exactly once
-    # per pixel, in the same particle-major order as the per-frame
-    # loop.  Wall-clipped frames fall back to the windowed scalar path.
-    # The particle loop stays Python (N ≈ 20): each iteration is one
-    # whole-movie fancy-indexed scatter, and particle-major order is
-    # what keeps the per-pixel accumulation order — and therefore the
-    # float sums — bit-identical to the per-frame reference.
-    t_all = np.arange(n_frames)
-    for n in range(radii.shape[0]):  # repro: noqa[P602]
-        r = radii[n]
-        sigma = r / 1.8
-        half = int(np.ceil(3 * sigma))
-        k = 2 * half + 1
-        rows = pos[:, n, 0]
-        cols = pos[:, n, 1]
-        ir = rows.astype(np.int64)  # positions are positive: trunc == floor
-        ic = cols.astype(np.int64)
-        r0 = ir - half
-        c0 = ic - half
-        interior = (r0 >= 0) & (ir + half + 1 <= h) & (c0 >= 0) & (ic + half + 1 <= w)
-        t_in = t_all[interior]
-        if t_in.size:
-            offs = np.arange(k, dtype=np.int64)
-            rr_idx = r0[t_in, None] + offs  # (Ti, K)
-            cc_idx = c0[t_in, None] + offs
-            dr2 = (rr_idx.astype(np.float64) - rows[t_in, None]) ** 2
-            dc2 = (cc_idx.astype(np.float64) - cols[t_in, None]) ** 2
-            # The transcendental work — one exp over every (frame, K, K)
-            # window — is batched; the writes stay contiguous slice-adds
-            # (a fancy-indexed scatter is slower than K×K slice adds).
-            blob = np.exp(
-                -0.5 * ((dr2[:, :, None] + dc2[:, None, :]) / sigma**2)
-            )
-            blob *= spec.particle_peak
-            for j, t in enumerate(t_in):
-                movie[t, r0[t] : r0[t] + k, c0[t] : c0[t] + k] += blob[j]
-        for t in t_all[~interior]:
-            row, col = rows[t], cols[t]
-            b0, b1 = max(ir[t] - half, 0), min(ir[t] + half + 1, h)
-            d0, d1 = max(ic[t] - half, 0), min(ic[t] + half + 1, w)
-            if b1 <= b0 or d1 <= d0:
-                continue
-            rr = np.arange(b0, b1, dtype=np.float64)[:, None]
-            cc = np.arange(d0, d1, dtype=np.float64)[None, :]
-            blob = np.exp(-0.5 * (((rr - row) ** 2 + (cc - col) ** 2) / sigma**2))
-            movie[t, b0:b1, d0:d1] += spec.particle_peak * blob
-    np.clip(movie, 0.0, None, out=movie)
-    pos_list = pos.tolist()
-    radii_list = [float(rad) for rad in radii]
+    movie = np.empty((spec.n_frames, *spec.shape), dtype=np.float64)
+    for t in range(spec.n_frames):
+        movie[t] = render_frame(spec.shape, pos[t], radii, spec, rng)
+    radii_list = radii.tolist()
     truth: list[list[Particle]] = [
         [
             Particle(row=rc[0], col=rc[1], radius=rad, element="Au")
             for rc, rad in zip(frame_pos, radii_list)
         ]
-        for frame_pos in pos_list
+        for frame_pos in pos.tolist()
     ]
     return movie, truth

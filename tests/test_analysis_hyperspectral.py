@@ -22,7 +22,7 @@ from repro.analysis import (
     video_info,
     write_video,
 )
-from repro.emd import write_emd
+from repro.emd import EmdSignal, default_dims, write_emd
 from repro.errors import FormatError, ReproError
 from repro.instrument import MovieSpec, PicoProbe, energy_axis
 from repro.rng import RngRegistry
@@ -156,6 +156,17 @@ def test_movie_to_uint8_constant_input():
 def test_movie_to_uint8_validation():
     with pytest.raises(FormatError):
         movie_to_uint8(np.zeros((4, 4)))
+    with pytest.raises(FormatError, match="non-empty"):
+        movie_to_uint8(np.zeros((0, 4, 4)))
+
+
+def test_movie_to_uint8_rejects_nan():
+    # One NaN pixel makes both percentile bounds NaN, which would cast
+    # the whole movie to zero.
+    movie = np.random.default_rng(0).uniform(0.0, 100.0, size=(3, 8, 8))
+    movie[1, 2, 3] = np.nan
+    with pytest.raises(FormatError, match="movie: normalization bounds .* not finite"):
+        movie_to_uint8(movie)
 
 
 def test_frame_to_uint8_bounds():
@@ -176,8 +187,11 @@ def test_video_roundtrip(tmp_path):
 
 
 def test_video_bad_fps(tmp_path):
-    with pytest.raises(FormatError):
-        write_video(tmp_path / "m.mpng", [], fps=0)
+    path = tmp_path / "m.mpng"
+    for fps in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(FormatError, match="fps"):
+            write_video(path, [np.zeros((4, 4), dtype=np.uint8)], fps=fps)
+        assert not path.exists()
 
 
 def test_video_truncation_detected(tmp_path):
@@ -206,6 +220,31 @@ def test_convert_emd_to_video(tmp_path):
     n = convert_emd_to_video(emd_path, out, fps=25.0)
     assert n == 4
     assert video_info(out) == (4, 25.0)
+
+
+def test_convert_emd_to_video_rejects_nan_frame(tmp_path):
+    probe = PicoProbe(RngRegistry(0))
+    spec = MovieSpec(n_frames=4, shape=(32, 32), n_particles=2, radius_range=(3, 5))
+    sig, _ = probe.acquire_spatiotemporal(spec)
+    sig.data[2, 5, 7] = np.nan
+    emd_path = tmp_path / "movie.emd"
+    write_emd(emd_path, sig)
+    out = tmp_path / "movie.mpng"
+    with pytest.raises(FormatError, match="frame 2: normalization bounds .* not finite"):
+        convert_emd_to_video(emd_path, out)
+    assert not out.exists()
+
+
+def test_convert_emd_to_video_rejects_empty_movie(tmp_path):
+    probe = PicoProbe(RngRegistry(0))
+    spec = MovieSpec(n_frames=1, shape=(32, 32), n_particles=1, radius_range=(3, 5))
+    sig, _ = probe.acquire_spatiotemporal(spec)
+    empty = np.zeros((0, 32, 32))
+    sig = EmdSignal(name=sig.name, data=empty, metadata=sig.metadata,
+                    dims=default_dims(empty.shape, "spatiotemporal"))
+    write_emd(tmp_path / "empty.emd", sig)
+    with pytest.raises(FormatError, match="no frames"):
+        convert_emd_to_video(tmp_path / "empty.emd", tmp_path / "empty.mpng")
 
 
 def test_convert_rejects_hyperspectral(tmp_path):

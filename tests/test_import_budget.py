@@ -1,11 +1,14 @@
-"""Import budget of the campaign and content-hyperspectral paths.
+"""Import budget of the campaign and content paths.
 
 The DES campaign path (file and stream ingest, chaos, integrity) and the
 hyperspectral content path need numpy alone: scipy loads at the first
 blob detection or track assignment, networkx is a test oracle only, and
-the lint engine loads when a sanitizer report is rendered.  Each case
-runs in a fresh interpreter so modules imported by other tests cannot
-hide a regression.
+the lint engine loads when a sanitizer report is rendered.  The movie
+content path needs scipy for detection but nothing else.  No product
+path loads the frozen loop references in ``instrument/_loops.py`` and
+``analysis/_loops.py``, which exist only for the identity tests and
+``repro bench dataplane``.  Each case runs in a fresh interpreter so
+modules imported by other tests cannot hide a regression.
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-#: Module prefixes the budgeted paths must never load.
-FORBIDDEN = ("scipy", "networkx", "repro.lint")
+#: Frozen loop references: test and bench oracles, never product code.
+ORACLES = ("repro.instrument._loops", "repro.analysis._loops")
+#: Module prefixes the movie content path must never load.
+FORBIDDEN_WITH_SCIPY = ("networkx", "repro.lint") + ORACLES
+#: Module prefixes the campaign and hyperspectral paths must never load.
+FORBIDDEN = ("scipy",) + FORBIDDEN_WITH_SCIPY
 
 
 def _run_fresh(code: str, tmp_path) -> str:
@@ -74,6 +81,33 @@ def test_campaign_and_hyperspectral_paths_load_no_heavy_modules(tmp_path):
         tmp_path,
     )
     assert "LOADED []" in out, out
+
+
+def test_content_movie_path_loads_no_oracle(tmp_path):
+    out = _run_fresh(
+        f"""
+        import sys
+
+        from repro.core.functions import analyze_spatiotemporal_file
+        from repro.emd import write_emd
+        from repro.instrument import MovieSpec, PicoProbe
+        from repro.rng import RngRegistry
+
+        spec = MovieSpec(n_frames=4, shape=(96, 96), n_particles=3,
+                         radius_range=(4.0, 8.0))
+        signal, _ = PicoProbe(RngRegistry(seed=3)).acquire_spatiotemporal(spec)
+        write_emd("movie.emd", signal)
+        doc = analyze_spatiotemporal_file("movie.emd", "out")
+        assert doc["mean_particle_count"] > 0, "no particles counted"
+
+        loaded = sorted(m for m in sys.modules if m.startswith({FORBIDDEN_WITH_SCIPY!r}))
+        print("LOADED", loaded)
+        print("SCIPY", "scipy.ndimage" in sys.modules)
+        """,
+        tmp_path,
+    )
+    assert "LOADED []" in out, out
+    assert "SCIPY True" in out, out
 
 
 def test_blob_detector_is_first_scipy_user(tmp_path):

@@ -166,6 +166,32 @@ def test_movie_spec_validation():
             MovieSpec(n_frames=5, shape=(16, 16), radius_range=(10, 12)),
             np.random.default_rng(0),
         )
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"particle_peak": nan},
+        {"particle_peak": 0.0},
+        {"radius_range": (nan, 5.0)},
+        {"radius_range": (4.0, inf)},
+        {"radius_range": (0.0, 5.0)},
+        {"radius_range": (6.0, 5.0)},
+        {"background_noise": -1.0},
+        {"background_level": nan},
+        {"shape": (0, 64)},
+        {"shape": (64, -1)},
+        {"n_particles": 0},
+    ):
+        with pytest.raises(ReproError):
+            MovieSpec(**bad)
+
+
+def test_movie_spec_accepts_boundary_values():
+    # Equal radii, a noiseless background at zero counts.
+    spec = MovieSpec(n_frames=2, shape=(48, 48), n_particles=2,
+                     radius_range=(5.0, 5.0), background_level=0.0,
+                     background_noise=0.0)
+    movie, truth = generate_movie(spec, np.random.default_rng(0))
+    assert np.isfinite(movie).all() and movie.max() > 0
+    assert {p.radius for frame in truth for p in frame} == {5.0}
 
 
 def test_generate_movie_particles_bright():
